@@ -41,7 +41,7 @@ int main() {
   config.gpu_memory_capacity = 128ull << 20;
   TagMatch engine(config);
   for (const Ad& ad : ads) {
-    engine.add_set(ad.targeting, ad.id);
+    engine.add_set(engine.encode(ad.targeting), ad.id);
   }
   engine.consolidate();
 
@@ -54,7 +54,7 @@ int main() {
 
   for (const auto& [label, attributes] : users) {
     std::printf("%s ->", label);
-    for (auto ad_id : engine.match_unique(attributes)) {
+    for (auto ad_id : engine.match_unique(engine.encode(attributes))) {
       for (const Ad& ad : ads) {
         if (ad.id == ad_id) {
           std::printf(" %s", ad.name);

@@ -40,7 +40,7 @@ int main() {
   config.gpu_memory_capacity = 128ull << 20;
   TagMatch router(config);
   for (const FibEntry& e : fib) {
-    router.add_set(e.descriptor, e.interface);
+    router.add_set(router.encode(e.descriptor), e.interface);
   }
   router.consolidate();
 
@@ -52,7 +52,7 @@ int main() {
   };
 
   for (const auto& [label, descriptor] : packets) {
-    auto interfaces = router.match_unique(descriptor);
+    auto interfaces = router.match_unique(router.encode(descriptor));
     std::printf("%-22s ->", label);
     if (interfaces.empty()) {
       std::printf(" drop (no route)");

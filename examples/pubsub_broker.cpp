@@ -36,9 +36,9 @@ int main() {
 
   // Subscriber 1 wants monitoring alerts from eu-west; 2 wants everything
   // about the billing service; 3 wants critical alerts of any kind.
-  broker.add_set(Tags{"alert", "region:eu-west"}, 1);
-  broker.add_set(Tags{"service:billing"}, 2);
-  broker.add_set(Tags{"alert", "severity:critical"}, 3);
+  broker.add_set(broker.encode(Tags{"alert", "region:eu-west"}), 1);
+  broker.add_set(broker.encode(Tags{"service:billing"}), 2);
+  broker.add_set(broker.encode(Tags{"alert", "severity:critical"}), 3);
   broker.consolidate();
 
   const std::vector<Message> stream = {
@@ -69,9 +69,9 @@ int main() {
 
   // Subscriber 1 unsubscribes; subscriptions change online and take effect
   // at the next consolidate().
-  broker.remove_set(Tags{"alert", "region:eu-west"}, 1);
+  broker.remove_set(broker.encode(Tags{"alert", "region:eu-west"}), 1);
   broker.consolidate();
   std::printf("after unsubscribe: message 1 reaches %zu subscriber(s)\n",
-              broker.match_unique(stream[0].tags).size());
+              broker.match_unique(broker.encode(stream[0].tags)).size());
   return pending.load() == 0 ? 0 : 1;
 }

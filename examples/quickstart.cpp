@@ -19,17 +19,19 @@ int main() {
   config.gpu_memory_capacity = 256ull << 20;
   TagMatch engine(config);
 
-  // add_set(tags, key): key is an opaque link to application data — here,
-  // subscriber ids. Changes are staged until consolidate().
+  // add_set(set, key): key is an opaque link to application data — here,
+  // subscriber ids. encode() turns string tags into a Tagset (signature +
+  // exact-check hashes) once, at the edge. Changes are staged until
+  // consolidate().
   using Tags = std::vector<std::string>;
-  engine.add_set(Tags{"sports", "football"}, /*key=*/1);
-  engine.add_set(Tags{"sports"}, 2);
-  engine.add_set(Tags{"music", "jazz"}, 3);
-  engine.add_set(Tags{"sports", "football"}, 4);  // Same interest, another subscriber.
+  engine.add_set(engine.encode(Tags{"sports", "football"}), /*key=*/1);
+  engine.add_set(engine.encode(Tags{"sports"}), 2);
+  engine.add_set(engine.encode(Tags{"music", "jazz"}), 3);
+  engine.add_set(engine.encode(Tags{"sports", "football"}), 4);  // Same interest, another key.
   engine.consolidate();
 
   // match(q) returns every key whose set is contained in the query tags.
-  Tags tweet = {"sports", "football", "worldcup"};
+  const tagmatch::Tagset tweet = engine.encode(Tags{"sports", "football", "worldcup"});
   std::printf("query {sports, football, worldcup} ->");
   for (auto key : engine.match(tweet)) {
     std::printf(" %u", key);
@@ -38,13 +40,13 @@ int main() {
 
   // match_unique deduplicates keys (a subscriber with several matching
   // interests is reported once).
-  engine.add_set(Tags{"worldcup"}, 1);
+  engine.add_set(engine.encode(Tags{"worldcup"}), 1);
   engine.consolidate();
   std::printf("match:        %zu results\n", engine.match(tweet).size());
   std::printf("match_unique: %zu results\n", engine.match_unique(tweet).size());
 
   // remove_set drops one (set, key) association.
-  engine.remove_set(Tags{"sports", "football"}, 4);
+  engine.remove_set(engine.encode(Tags{"sports", "football"}), 4);
   engine.consolidate();
   std::printf("after remove: %zu results\n", engine.match(tweet).size());
 

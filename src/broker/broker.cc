@@ -113,7 +113,7 @@ SubscriptionId Broker::subscribe(SubscriberId subscriber, std::vector<std::strin
     // replaces whole-engine state under the exclusive gate; concurrent
     // consolidation is fine (epoch-published snapshots).
     std::shared_lock gate(publish_mu_);
-    engine_->add_set(std::span<const std::string>(tags), id);
+    engine_->add_set(engine_->encode(tags), id);
   }
   if (trigger_consolidation) {
     consolidate_cv_.notify_one();
@@ -167,27 +167,12 @@ Broker::PublishResult Broker::publish(Message message, const obs::TraceContext& 
   message.trace_id = config_.tracing ? trace_ctx.trace_id : client_ctx.trace_id;
   auto shared_message = std::make_shared<const Message>(std::move(message));
   std::shared_lock gate(publish_mu_);
-  const std::span<const std::string> tags(shared_message->tags);
-  if (!slo_on) {
-    // SLO off: the pre-existing path — no deadline attached, no outcome
-    // classification (the context overload is a pass-through when tracing
-    // is off).
-    engine_->match_async(
-        tags, Matcher::MatchKind::kMatchUnique, /*deadline_ns=*/0, trace_ctx,
-        [this, shared_message, publish_ns, trace_ctx,
-         root_span_id](std::vector<Matcher::Key> subscription_keys) {
-          deliver(shared_message, subscription_keys, /*deadline_ns=*/0);
-          // Publish-to-queue latency: accept to every subscriber queue
-          // written (the full broker-side path; consumer poll time is not
-          // included).
-          finish_publish(publish_ns, /*deadline_ns=*/0, /*partial=*/false, /*skipped=*/0,
-                         trace_ctx, root_span_id);
-        });
-  } else if (sharded_ != nullptr && config_.slo_mode >= SloMode::kDeliverPartial) {
+  Tagset query = engine_->encode(shared_message->tags);
+  if (slo_on && sharded_ != nullptr && config_.slo_mode >= SloMode::kDeliverPartial) {
     // Partial-capable path: the sharded engine sheds shards still
     // outstanding at the deadline and tells us it did.
     sharded_->match_result_async(
-        tags, Matcher::MatchKind::kMatchUnique, deadline_ns, trace_ctx,
+        std::move(query), Matcher::MatchKind::kMatchUnique, deadline_ns, trace_ctx,
         [this, shared_message, publish_ns, deadline_ns, trace_ctx,
          root_span_id](shard::ShardedTagMatch::MatchResult result) {
           const uint64_t skipped = deliver(shared_message, result.keys, deadline_ns);
@@ -195,12 +180,17 @@ Broker::PublishResult Broker::publish(Message message, const obs::TraceContext& 
                          root_span_id);
         });
   } else {
-    // Keys-only path (single engine, or sharded under kSkipBlocked): the
-    // deadline arms the engine's early batch close but results stay exact.
+    // Keys-only path (SLO off, single engine, or sharded under
+    // kSkipBlocked): a deadline arms the engine's early batch close but
+    // results stay exact; with the SLO off the deadline is 0 and delivery
+    // never skips.
     engine_->match_async(
-        tags, Matcher::MatchKind::kMatchUnique, deadline_ns, trace_ctx,
+        std::move(query), Matcher::MatchKind::kMatchUnique, deadline_ns, trace_ctx,
         [this, shared_message, publish_ns, deadline_ns, trace_ctx,
          root_span_id](std::vector<Matcher::Key> subscription_keys) {
+          // Publish-to-queue latency: accept to every subscriber queue
+          // written (the full broker-side path; consumer poll time is not
+          // included).
           const uint64_t skipped = deliver(shared_message, subscription_keys, deadline_ns);
           finish_publish(publish_ns, deadline_ns, /*partial=*/false, skipped, trace_ctx,
                          root_span_id);
@@ -414,8 +404,7 @@ void Broker::run_consolidation() {
     for (auto it = subscriptions_.begin(); it != subscriptions_.end();) {
       Subscription& s = it->second;
       if (!s.active && !s.removed) {
-        engine_->remove_set(std::span<const std::string>(s.tags),
-                            static_cast<Matcher::Key>(it->first));
+        engine_->remove_set(engine_->encode(s.tags), static_cast<Matcher::Key>(it->first));
         s.removed = true;
       }
       if (s.removed) {

@@ -4,12 +4,14 @@
 #define TAGMATCH_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
 #include "src/common/mpmc_queue.h"
+#include "src/common/one_shot.h"
 
 namespace tagmatch {
 
@@ -35,7 +37,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  void submit(std::function<void()> task) { tasks_.push(std::move(task)); }
+  // A task submitted after the pool closed (only possible while it is being
+  // destroyed) would never run; that is a lifetime bug in the caller, so it
+  // fails loudly rather than leaving a parallel_for waiting forever.
+  void submit(std::function<void()> task) {
+    if (!tasks_.push(std::move(task))) {
+      std::fprintf(stderr, "ThreadPool::submit on a closed pool: the task would never run\n");
+      std::abort();
+    }
+  }
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
@@ -49,21 +59,21 @@ class ThreadPool {
     const unsigned parts = std::min<size_t>(workers_.size() + 1, n);
     std::atomic<size_t> next{0};
     std::atomic<unsigned> done{0};
-    std::promise<void> all_done;
+    OneShot<> all_done;
     auto drain = [&] {
       size_t i;
       while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
         fn(i);
       }
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == parts) {
-        all_done.set_value();
+        all_done.set();
       }
     };
     for (unsigned p = 0; p + 1 < parts; ++p) {
       submit(drain);
     }
     drain();  // Caller participates as the last part.
-    all_done.get_future().wait();
+    all_done.wait();
   }
 
  private:

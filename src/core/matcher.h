@@ -9,6 +9,11 @@
 // deduplicated sorted key set; match_async feeds the pipeline without
 // blocking and invokes its callback exactly once per query on an internal
 // worker thread; flush() blocks until every in-flight query has completed.
+//
+// Every set and query travels as one Tagset. String tags become a Tagset in
+// exactly one place, encode(), which builds the signature and the exact-check
+// hashes once at the edge; implementations override one virtual per
+// operation (add_set, remove_set, submit) and never see strings.
 #ifndef TAGMATCH_CORE_MATCHER_H_
 #define TAGMATCH_CORE_MATCHER_H_
 
@@ -17,6 +22,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/bloom/bloom_filter.h"
@@ -24,6 +30,24 @@
 #include "src/obs/trace.h"
 
 namespace tagmatch {
+
+namespace sig {
+class SignatureScheme;
+}
+
+// A set or query as the engines consume it: the signature plus the sorted
+// per-tag hashes (Matcher::tag_hash) that let an exact_check engine reject
+// Bloom false positives. Empty hashes mean signature-only: the set or query
+// skips verification. A bare filter converts implicitly.
+struct Tagset {
+  Tagset() = default;
+  Tagset(const BloomFilter192& filter) : filter(filter) {}  // NOLINT(google-explicit-constructor)
+  Tagset(const BloomFilter192& filter, std::vector<uint64_t> tag_hashes)
+      : filter(filter), tag_hashes(std::move(tag_hashes)) {}
+
+  BloomFilter192 filter;
+  std::vector<uint64_t> tag_hashes;
+};
 
 class Matcher {
  public:
@@ -36,59 +60,48 @@ class Matcher {
 
   virtual ~Matcher() = default;
 
+  // The Tagset of a string-tag set under this matcher's signature scheme:
+  // signature plus sorted, deduplicated tag hashes. Records one sig.encode_ns
+  // sample in the matcher's registry.
+  Tagset encode(std::span<const std::string> tags) const;
+  // Stable per-tag hash behind Tagset::tag_hashes. Applications with
+  // non-string tag identifiers may build Tagsets from their own stable
+  // hashes, as long as sets and queries agree.
+  static uint64_t tag_hash(std::string_view tag);
+
   // --- Table maintenance (staged; effective after consolidate) ---
-  virtual void add_set(std::span<const std::string> tags, Key key) = 0;
-  virtual void add_set(const BloomFilter192& filter, Key key) = 0;
-  virtual void remove_set(std::span<const std::string> tags, Key key) = 0;
-  virtual void remove_set(const BloomFilter192& filter, Key key) = 0;
+  // A set added with tag hashes is verified exactly under
+  // config.exact_check; one added as a bare filter skips verification.
+  virtual void add_set(const Tagset& set, Key key) = 0;
+  virtual void remove_set(const Tagset& set, Key key) = 0;
   virtual void consolidate() = 0;
 
   // --- Matching ---
-  virtual void match_async(const BloomFilter192& query, MatchKind kind,
-                           MatchCallback callback) = 0;
-  virtual void match_async(std::span<const std::string> tags, MatchKind kind,
-                           MatchCallback callback) = 0;
-
-  // Deadline-carrying variants. `deadline_ns` is an absolute steady-clock
-  // timestamp in the now_ns() domain (src/common/stats.h); 0 means no
-  // deadline. A deadline is a latency hint, not a result contract: engines
-  // that understand it push the query through the pipeline early as the
-  // deadline nears (deadline-aware batch close in TagMatch, per-shard
-  // propagation in ShardedTagMatch) but still deliver complete results.
-  // Deadline-driven result shedding is only available through
-  // ShardedTagMatch::match_result_async, which can express a partial result.
-  // The default implementations ignore the deadline.
-  virtual void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                           MatchCallback callback) {
-    (void)deadline_ns;
-    match_async(query, kind, std::move(callback));
+  void match_async(Tagset query, MatchKind kind, MatchCallback callback) {
+    submit(std::move(query), kind, /*deadline_ns=*/0, obs::TraceContext{}, std::move(callback));
   }
-  virtual void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                           MatchCallback callback) {
-    (void)deadline_ns;
-    match_async(tags, kind, std::move(callback));
+  // `deadline_ns` is an absolute steady-clock timestamp in the now_ns()
+  // domain (src/common/stats.h); 0 means no deadline. A deadline is a
+  // latency hint, not a result contract: engines push the query through the
+  // pipeline early as the deadline nears (deadline-aware batch close in
+  // TagMatch, per-shard propagation in ShardedTagMatch) but still deliver
+  // complete results. Deadline-driven result shedding is only available
+  // through ShardedTagMatch::match_result_async, which can express a partial
+  // result.
+  //
+  // A valid `ctx` rides the same hand-offs (publish -> enqueue -> batch ->
+  // shard fan-out -> GPU stream ops): stage spans record under ctx.trace_id
+  // with causal parent links, so one publish reassembles into a connected
+  // trace. A default-constructed (invalid) context disables tracing.
+  void match_async(Tagset query, MatchKind kind, int64_t deadline_ns,
+                   const obs::TraceContext& ctx, MatchCallback callback) {
+    submit(std::move(query), kind, deadline_ns, ctx, std::move(callback));
   }
-
-  // Trace-context-carrying variants. The context rides the same hand-offs
-  // the deadline does (publish -> enqueue -> batch -> shard fan-out -> GPU
-  // stream ops); engines that understand it record their stage spans under
-  // ctx.trace_id with causal parent links, so one publish reassembles into a
-  // connected trace. A default-constructed (invalid) context — and these
-  // default implementations — disable tracing for the query.
-  virtual void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                           const obs::TraceContext& ctx, MatchCallback callback) {
-    (void)ctx;
-    match_async(query, kind, deadline_ns, std::move(callback));
+  // Synchronous conveniences: submit, flush, return the keys.
+  std::vector<Key> match(Tagset query) { return match_sync(std::move(query), MatchKind::kMatch); }
+  std::vector<Key> match_unique(Tagset query) {
+    return match_sync(std::move(query), MatchKind::kMatchUnique);
   }
-  virtual void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                           const obs::TraceContext& ctx, MatchCallback callback) {
-    (void)ctx;
-    match_async(tags, kind, deadline_ns, std::move(callback));
-  }
-  virtual std::vector<Key> match(const BloomFilter192& query) = 0;
-  virtual std::vector<Key> match_unique(const BloomFilter192& query) = 0;
-  virtual std::vector<Key> match(std::span<const std::string> tags) = 0;
-  virtual std::vector<Key> match_unique(std::span<const std::string> tags) = 0;
 
   // --- Persistence ---
   // Returns false on I/O or format error, leaving the live engine unchanged.
@@ -182,6 +195,22 @@ class Matcher {
   // Spans lost to ring wrap-around since startup — nonzero means
   // trace_snapshot() is a truncated view (see the trace.dropped counter).
   virtual uint64_t trace_dropped() const { return 0; }
+
+ protected:
+  // Subclass constructors name the scheme encode() runs and the registry
+  // that receives its sig.encode_ns samples (both outlive the matcher).
+  void bind_encoder(const sig::SignatureScheme& scheme, obs::Registry& registry);
+
+  // The one match entry point implementations provide; every public match
+  // form above lands here. Same contract as match_async.
+  virtual void submit(Tagset query, MatchKind kind, int64_t deadline_ns,
+                      const obs::TraceContext& ctx, MatchCallback callback) = 0;
+
+ private:
+  std::vector<Key> match_sync(Tagset query, MatchKind kind);
+
+  const sig::SignatureScheme* scheme_ = nullptr;
+  obs::Histogram* encode_ns_ = nullptr;
 };
 
 }  // namespace tagmatch

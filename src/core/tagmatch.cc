@@ -4,14 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <future>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 
 #include "src/common/check.h"
-#include "src/common/hash.h"
 #include "src/common/stats.h"
 #include "src/core/cpu_match_parallel.h"
 #include "src/core/gpu_engine.h"
@@ -159,7 +157,6 @@ class TagMatchImpl {
     scheme_id_gauge_ = registry.gauge("sig.scheme_id", obs::GaugeMode::kLast);
     scheme_id_gauge_->set(static_cast<int64_t>(scheme_->id()));
     fpr_observed_gauge_ = registry.gauge("sig.fpr_observed", obs::GaugeMode::kLast);
-    encode_ns_ = registry.histogram("sig.encode_ns");
     discard_ratio_ = registry.histogram("prefilter.discard_ratio");
     epoch_ = std::make_unique<epoch::EpochManager>(&registry);
     // Publish the empty generation so readers never see a null index.
@@ -226,12 +223,12 @@ class TagMatchImpl {
     // retirements.
   }
 
-  void stage_add(const BitVector192& filter, Key key, std::vector<uint64_t> tag_hashes,
-                 bool has_hashes) {
+  // Empty `tag_hashes` registers the set signature-only (no verification).
+  void stage_add(const BitVector192& filter, Key key, std::vector<uint64_t> tag_hashes) {
     std::sort(tag_hashes.begin(), tag_hashes.end());
     tag_hashes.erase(std::unique(tag_hashes.begin(), tag_hashes.end()), tag_hashes.end());
     std::lock_guard lock(staging_mu_);
-    staged_adds_.push_back(StagedAdd{filter, key, std::move(tag_hashes), has_hashes});
+    staged_adds_.push_back(StagedAdd{filter, key, std::move(tag_hashes)});
   }
 
   void stage_remove(const BitVector192& filter, Key key) {
@@ -259,13 +256,12 @@ class TagMatchImpl {
         if (std::find(entry.keys.begin(), entry.keys.end(), add.key) == entry.keys.end()) {
           entry.keys.push_back(add.key);
         }
-        if (add.has_hashes && !entry.has_hashes) {
+        if (!add.tag_hashes.empty() && entry.tag_hashes.empty()) {
           // First tag-carrying add of this filter defines the exact-check
           // set. (Two different tag sets sharing a filter is a ~1e-11
           // Bloom collision; first-wins then.) Copied, not moved: the add
           // stays scannable in applying_adds_ below.
           entry.tag_hashes = add.tag_hashes;
-          entry.has_hashes = true;
         }
       }
       for (const auto& [filter, key] : staged_removes_) {
@@ -297,16 +293,15 @@ class TagMatchImpl {
                        now_ns());
   }
 
-  void match_async(const BloomFilter192& query, MatchKind kind, TagMatch::MatchCallback callback,
-                   std::vector<uint64_t> tag_hashes = {}, int64_t deadline_ns = 0,
-                   const obs::TraceContext& trace_ctx = {}) {
-    std::sort(tag_hashes.begin(), tag_hashes.end());
+  void submit(Tagset query, MatchKind kind, int64_t deadline_ns,
+              const obs::TraceContext& trace_ctx, TagMatch::MatchCallback callback) {
+    std::sort(query.tag_hashes.begin(), query.tag_hashes.end());
     outstanding_.fetch_add(1, std::memory_order_acq_rel);
     auto query_state = std::make_shared<QueryState>();
-    query_state->filter = query.bits();
+    query_state->filter = query.filter.bits();
     query_state->kind = kind;
     query_state->callback = std::move(callback);
-    query_state->tag_hashes = std::move(tag_hashes);
+    query_state->tag_hashes = std::move(query.tag_hashes);
     query_state->trace_id = query_seq_.fetch_add(1, std::memory_order_relaxed);
     query_state->enqueue_ns = now_ns();
     query_state->deadline_ns = config_.deadline_batch_close ? deadline_ns : 0;
@@ -356,16 +351,8 @@ class TagMatchImpl {
     }
   }
 
-  // Signature of a string-tag set under this engine's scheme; every string
-  // API funnels through here so build and query sides always agree.
-  BloomFilter192 encode(std::span<const std::string> tags) const {
-    const int64_t start_ns = now_ns();
-    BloomFilter192 f(scheme_->encode(tags));
-    encode_ns_->record(static_cast<uint64_t>(std::max<int64_t>(0, now_ns() - start_ns)), 0);
-    return f;
-  }
-
   const sig::SignatureScheme& scheme() const { return *scheme_; }
+  obs::Registry& registry() { return obs_->registry(); }
 
   TagMatch::Stats stats() const {
     TagMatch::Stats s;
@@ -441,10 +428,8 @@ class TagMatchImpl {
       unique_filters.push_back(filter);
       snap->keys_flat.insert(snap->keys_flat.end(), entry.keys.begin(), entry.keys.end());
       snap->key_offsets.push_back(static_cast<uint32_t>(snap->keys_flat.size()));
-      if (entry.has_hashes) {
-        snap->exact_hashes.insert(snap->exact_hashes.end(), entry.tag_hashes.begin(),
-                                  entry.tag_hashes.end());
-      }
+      snap->exact_hashes.insert(snap->exact_hashes.end(), entry.tag_hashes.begin(),
+                                entry.tag_hashes.end());
       snap->exact_offsets.push_back(static_cast<uint64_t>(snap->exact_hashes.size()));
     }
 
@@ -636,7 +621,9 @@ class TagMatchImpl {
         if (!sig::subset_test(variant_, add.filter, qs.filter)) {
           continue;
         }
-        if (config_.exact_check && !qs.tag_hashes.empty() && add.has_hashes &&
+        // A signature-only add (empty hashes) passes: includes() of an
+        // empty range is true.
+        if (config_.exact_check && !qs.tag_hashes.empty() &&
             !std::includes(qs.tag_hashes.begin(), qs.tag_hashes.end(), add.tag_hashes.begin(),
                            add.tag_hashes.end())) {
           exact_rejections_->inc();
@@ -859,13 +846,11 @@ class TagMatchImpl {
   struct StagedAdd {
     BitVector192 filter;
     Key key;
-    std::vector<uint64_t> tag_hashes;
-    bool has_hashes;
+    std::vector<uint64_t> tag_hashes;  // Sorted; empty = signature-only.
   };
   struct SetEntry {
     std::vector<Key> keys;
-    std::vector<uint64_t> tag_hashes;  // Sorted; valid when has_hashes.
-    bool has_hashes = false;
+    std::vector<uint64_t> tag_hashes;  // Sorted; empty = signature-only.
   };
 
   // Staged updates. The master table (filter -> keys + exact hashes) is
@@ -931,7 +916,6 @@ class TagMatchImpl {
   obs::Gauge* partitions_gauge_ = nullptr;
   obs::Gauge* scheme_id_gauge_ = nullptr;
   obs::Gauge* fpr_observed_gauge_ = nullptr;
-  obs::Histogram* encode_ns_ = nullptr;
   obs::Histogram* discard_ratio_ = nullptr;
   std::atomic<uint64_t> query_seq_{0};
   std::atomic<uint64_t> batch_seq_{0};
@@ -1089,7 +1073,6 @@ bool TagMatchImpl::load_index(const std::string& path) {
       SetEntry& entry = table_[*filter_of_sid[sid]];
       entry.keys.assign(snap->keys_flat.begin() + snap->key_offsets[sid],
                         snap->keys_flat.begin() + snap->key_offsets[sid + 1]);
-      entry.has_hashes = snap->exact_offsets[sid + 1] > snap->exact_offsets[sid];
       entry.tag_hashes.assign(
           snap->exact_hashes.begin() + static_cast<ptrdiff_t>(snap->exact_offsets[sid]),
           snap->exact_hashes.begin() + static_cast<ptrdiff_t>(snap->exact_offsets[sid + 1]));
@@ -1099,100 +1082,22 @@ bool TagMatchImpl::load_index(const std::string& path) {
   return true;
 }
 
-TagMatch::TagMatch(TagMatchConfig config) : impl_(std::make_unique<TagMatchImpl>(config)) {}
+TagMatch::TagMatch(TagMatchConfig config) : impl_(std::make_unique<TagMatchImpl>(config)) {
+  bind_encoder(impl_->scheme(), impl_->registry());
+}
 TagMatch::~TagMatch() = default;
 
-uint64_t TagMatch::tag_hash(std::string_view tag) { return mix64(fnv1a64(tag) ^ 0x7447414758ull); }
-
-namespace {
-std::vector<uint64_t> hash_tags(std::span<const std::string> tags) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  return hashes;
+void TagMatch::add_set(const Tagset& set, Key key) {
+  impl_->stage_add(set.filter.bits(), key, set.tag_hashes);
 }
-}  // namespace
-
-void TagMatch::add_set(std::span<const std::string> tags, Key key) {
-  impl_->stage_add(impl_->encode(tags).bits(), key, hash_tags(tags), /*has_hashes=*/true);
-}
-void TagMatch::add_set(const BloomFilter192& filter, Key key) {
-  impl_->stage_add(filter.bits(), key, {}, /*has_hashes=*/false);
-}
-void TagMatch::add_set_hashed(const BloomFilter192& filter, std::span<const uint64_t> tag_hashes,
-                              Key key) {
-  impl_->stage_add(filter.bits(), key,
-                   std::vector<uint64_t>(tag_hashes.begin(), tag_hashes.end()),
-                   /*has_hashes=*/true);
-}
-void TagMatch::remove_set(std::span<const std::string> tags, Key key) {
-  impl_->stage_remove(impl_->encode(tags).bits(), key);
-}
-void TagMatch::remove_set(const BloomFilter192& filter, Key key) {
-  impl_->stage_remove(filter.bits(), key);
+void TagMatch::remove_set(const Tagset& set, Key key) {
+  impl_->stage_remove(set.filter.bits(), key);
 }
 void TagMatch::consolidate() { impl_->consolidate(); }
 
-void TagMatch::match_async(const BloomFilter192& query, MatchKind kind, MatchCallback callback) {
-  impl_->match_async(query, kind, std::move(callback));
-}
-void TagMatch::match_async_hashed(const BloomFilter192& query,
-                                  std::span<const uint64_t> query_tag_hashes, MatchKind kind,
-                                  MatchCallback callback, int64_t deadline_ns,
-                                  const obs::TraceContext& trace_ctx) {
-  impl_->match_async(query, kind, std::move(callback),
-                     std::vector<uint64_t>(query_tag_hashes.begin(), query_tag_hashes.end()),
-                     deadline_ns, trace_ctx);
-}
-void TagMatch::match_async(std::span<const std::string> tags, MatchKind kind,
-                           MatchCallback callback) {
-  impl_->match_async(impl_->encode(tags), kind, std::move(callback), hash_tags(tags));
-}
-void TagMatch::match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                           MatchCallback callback) {
-  impl_->match_async(query, kind, std::move(callback), {}, deadline_ns);
-}
-void TagMatch::match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                           MatchCallback callback) {
-  impl_->match_async(impl_->encode(tags), kind, std::move(callback), hash_tags(tags),
-                     deadline_ns);
-}
-void TagMatch::match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                           const obs::TraceContext& ctx, MatchCallback callback) {
-  impl_->match_async(query, kind, std::move(callback), {}, deadline_ns, ctx);
-}
-void TagMatch::match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                           const obs::TraceContext& ctx, MatchCallback callback) {
-  impl_->match_async(impl_->encode(tags), kind, std::move(callback), hash_tags(tags),
-                     deadline_ns, ctx);
-}
-
-namespace {
-std::vector<Key> match_sync(TagMatchImpl& impl, const BloomFilter192& query, MatchKind kind,
-                            std::vector<uint64_t> tag_hashes = {}) {
-  std::promise<std::vector<Key>> promise;
-  auto future = promise.get_future();
-  impl.match_async(
-      query, kind, [&promise](std::vector<Key> keys) { promise.set_value(std::move(keys)); },
-      std::move(tag_hashes));
-  impl.flush();
-  return future.get();
-}
-}  // namespace
-
-std::vector<TagMatch::Key> TagMatch::match(const BloomFilter192& query) {
-  return match_sync(*impl_, query, MatchKind::kMatch);
-}
-std::vector<TagMatch::Key> TagMatch::match_unique(const BloomFilter192& query) {
-  return match_sync(*impl_, query, MatchKind::kMatchUnique);
-}
-std::vector<TagMatch::Key> TagMatch::match(std::span<const std::string> tags) {
-  return match_sync(*impl_, impl_->encode(tags), MatchKind::kMatch, hash_tags(tags));
-}
-std::vector<TagMatch::Key> TagMatch::match_unique(std::span<const std::string> tags) {
-  return match_sync(*impl_, impl_->encode(tags), MatchKind::kMatchUnique, hash_tags(tags));
+void TagMatch::submit(Tagset query, MatchKind kind, int64_t deadline_ns,
+                      const obs::TraceContext& ctx, MatchCallback callback) {
+  impl_->submit(std::move(query), kind, deadline_ns, ctx, std::move(callback));
 }
 
 void TagMatch::flush() { impl_->flush(); }

@@ -17,7 +17,7 @@
 // Matching runs through the four-stage pipeline of Figure 1: pre-process
 // (CPU), subset match (GPU, batched), key lookup/reduce (CPU), merge (CPU).
 // match_async feeds the pipeline without blocking; match/match_unique are
-// synchronous conveniences that flush the pipeline.
+// synchronous conveniences that flush the pipeline (both from Matcher).
 #ifndef TAGMATCH_CORE_TAGMATCH_H_
 #define TAGMATCH_CORE_TAGMATCH_H_
 
@@ -25,7 +25,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/bloom/bloom_filter.h"
@@ -48,54 +47,20 @@ class TagMatch : public Matcher {
   TagMatch& operator=(const TagMatch&) = delete;
 
   // --- Table maintenance (staged; effective after consolidate) ---
-  // The string-tag overloads also record per-tag hashes when
-  // config.exact_check is on, enabling exact verification (no Bloom false
-  // positives). The filter-only overloads register sets that skip
+  // A set carrying tag hashes (Matcher::encode, or the application's own
+  // stable hashes) is verified exactly when config.exact_check is on, so it
+  // never matches on a Bloom false positive; a bare filter skips
   // verification.
-  void add_set(std::span<const std::string> tags, Key key) override;
-  void add_set(const BloomFilter192& filter, Key key) override;
-  // Pre-hashed variant for applications with non-string tag identifiers:
-  // `tag_hashes` must be the stable per-tag hashes (one per tag, any order)
-  // that queries will also supply.
-  void add_set_hashed(const BloomFilter192& filter, std::span<const uint64_t> tag_hashes,
-                      Key key);
-  void remove_set(std::span<const std::string> tags, Key key) override;
-  void remove_set(const BloomFilter192& filter, Key key) override;
+  void add_set(const Tagset& set, Key key) override;
+  void remove_set(const Tagset& set, Key key) override;
   void consolidate() override;
 
-  // Stable hash used by the string-tag convenience APIs for exact checking.
-  static uint64_t tag_hash(std::string_view tag);
-
-  // --- Matching ---
-  void match_async(const BloomFilter192& query, MatchKind kind, MatchCallback callback) override;
-  // Exact-check-capable variant: `query_tag_hashes` are the hashes of the
-  // query's tags (same hash space as add_set_hashed / tag_hash).
-  // `deadline_ns` (absolute, now_ns() domain; 0 = none) arms deadline-aware
-  // batch close for this query (config.deadline_batch_close).
-  void match_async_hashed(const BloomFilter192& query,
-                          std::span<const uint64_t> query_tag_hashes, MatchKind kind,
-                          MatchCallback callback, int64_t deadline_ns = 0,
-                          const obs::TraceContext& trace_ctx = {});
-  void match_async(std::span<const std::string> tags, MatchKind kind,
-                   MatchCallback callback) override;
-  // Deadline-carrying overloads (see Matcher): batches holding this query
-  // are flushed early as deadline_ns approaches, bounding the time the query
-  // can sit in a partial batch.
-  void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                   MatchCallback callback) override;
-  void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                   MatchCallback callback) override;
-  // Trace-context-carrying overloads (see Matcher): the query's stage spans
-  // record under ctx.trace_id, parented on ctx.parent_span_id, and the
-  // GPU stream ops inherit the batch's context.
-  void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                   const obs::TraceContext& ctx, MatchCallback callback) override;
-  void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                   const obs::TraceContext& ctx, MatchCallback callback) override;
-  std::vector<Key> match(const BloomFilter192& query) override;
-  std::vector<Key> match_unique(const BloomFilter192& query) override;
-  std::vector<Key> match(std::span<const std::string> tags) override;
-  std::vector<Key> match_unique(std::span<const std::string> tags) override;
+  // Matching goes through the Matcher helpers (match_async, match,
+  // match_unique). A query with tag hashes is verified against sets with
+  // hashes under config.exact_check; a deadline arms deadline-aware batch
+  // close (config.deadline_batch_close); a valid trace context records the
+  // query's stage spans under its trace, and the GPU stream ops inherit the
+  // batch's context.
 
   // --- Persistence ---
   // Saves the consolidated index (tagset table, partition masks, key table,
@@ -128,6 +93,10 @@ class TagMatch : public Matcher {
   void for_each_set(
       const std::function<void(const BloomFilter192& filter, std::span<const Key> keys,
                                std::span<const uint64_t> tag_hashes)>& fn) const;
+
+ protected:
+  void submit(Tagset query, MatchKind kind, int64_t deadline_ns, const obs::TraceContext& ctx,
+              MatchCallback callback) override;
 
  private:
   std::unique_ptr<TagMatchImpl> impl_;

@@ -276,9 +276,9 @@ void Stream::synchronize() {
   if (!ok_) {
     return;
   }
-  std::promise<void> done;
-  enqueue([&done] { done.set_value(); });
-  done.get_future().wait();
+  tagmatch::OneShot<> done;
+  enqueue([&done] { done.set(); });
+  done.wait();
 }
 
 }  // namespace gpusim

@@ -8,11 +8,12 @@
 
 #include <atomic>
 #include <functional>
-#include <future>
 #include <memory>
+#include <source_location>
 #include <thread>
 
 #include "src/common/mpmc_queue.h"
+#include "src/common/one_shot.h"
 #include "src/gpusim/device.h"
 #include "src/gpusim/kernel.h"
 #include "src/obs/trace.h"
@@ -35,21 +36,19 @@ enum class OpError : uint8_t {
 const char* op_error_name(OpError error);
 
 // One-shot completion marker, equivalent to a cudaEvent recorded on a stream.
+// Signalled exactly once; a second signal aborts naming both sites.
 class Event {
  public:
-  Event() : future_(promise_.get_future().share()) {}
-
-  void wait() const { future_.wait(); }
-  bool ready() const {
-    return future_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  }
+  void wait() const { signalled_.wait(); }
+  bool ready() const { return signalled_.ready(); }
 
  private:
   friend class Stream;
-  void signal() { promise_.set_value(); }
+  void signal(std::source_location site = std::source_location::current()) {
+    signalled_.set(site);
+  }
 
-  std::promise<void> promise_;
-  std::shared_future<void> future_;
+  tagmatch::OneShot<> signalled_;
 };
 
 class Stream {

@@ -95,72 +95,35 @@ ReplicaSet::~ReplicaSet() {
 // the lag for anti-entropy. An injected kStall on a write is treated as
 // applied — stalls model slow reads, not lost writes.
 
-#define TAGMATCH_REPLICATED_WRITE(call)                                              \
-  do {                                                                               \
-    std::shared_lock lock(replicas_mu_);                                             \
-    for (unsigned r = 0; r < replicas_.size(); ++r) {                                \
-      Replica& rep = *replicas_[r];                                                  \
-      if (rep.dead.load(std::memory_order_acquire)) {                                \
-        continue;                                                                    \
-      }                                                                              \
-      if (config_.fault_injector != nullptr &&                                       \
-          config_.fault_injector->check(inject::FaultSite::kReplica, r).action ==    \
-              inject::FaultAction::kFail) {                                          \
-        rep.dropped_writes.fetch_add(1, std::memory_order_relaxed);                  \
-        continue; /* Write lost on this replica. */                                  \
-      }                                                                              \
-      rep.engine->call;                                                              \
-      rep.applied_writes.fetch_add(1, std::memory_order_relaxed);                    \
-    }                                                                                \
-  } while (0)
-
-void ReplicaSet::add_set(std::span<const std::string> tags, Matcher::Key key) {
+void ReplicaSet::replicated_write(const std::function<void(TagMatch&)>& write) {
+  std::shared_lock lock(replicas_mu_);
   if (fast_path_.load(std::memory_order_acquire)) {
-    std::shared_lock lock(replicas_mu_);
-    replicas_[0]->engine->add_set(tags, key);
+    write(*replicas_[0]->engine);
     return;
   }
-  TAGMATCH_REPLICATED_WRITE(add_set(tags, key));
-}
-
-void ReplicaSet::add_set(const BloomFilter192& filter, Matcher::Key key) {
-  if (fast_path_.load(std::memory_order_acquire)) {
-    std::shared_lock lock(replicas_mu_);
-    replicas_[0]->engine->add_set(filter, key);
-    return;
+  for (unsigned r = 0; r < replicas_.size(); ++r) {
+    Replica& rep = *replicas_[r];
+    if (rep.dead.load(std::memory_order_acquire)) {
+      continue;
+    }
+    if (config_.fault_injector != nullptr &&
+        config_.fault_injector->check(inject::FaultSite::kReplica, r).action ==
+            inject::FaultAction::kFail) {
+      rep.dropped_writes.fetch_add(1, std::memory_order_relaxed);
+      continue;  // Write lost on this replica.
+    }
+    write(*rep.engine);
+    rep.applied_writes.fetch_add(1, std::memory_order_relaxed);
   }
-  TAGMATCH_REPLICATED_WRITE(add_set(filter, key));
 }
 
-void ReplicaSet::add_set_hashed(const BloomFilter192& filter,
-                                std::span<const uint64_t> tag_hashes, Matcher::Key key) {
-  if (fast_path_.load(std::memory_order_acquire)) {
-    std::shared_lock lock(replicas_mu_);
-    replicas_[0]->engine->add_set_hashed(filter, tag_hashes, key);
-    return;
-  }
-  TAGMATCH_REPLICATED_WRITE(add_set_hashed(filter, tag_hashes, key));
+void ReplicaSet::add_set(const Tagset& set, Matcher::Key key) {
+  replicated_write([&](TagMatch& engine) { engine.add_set(set, key); });
 }
 
-void ReplicaSet::remove_set(std::span<const std::string> tags, Matcher::Key key) {
-  if (fast_path_.load(std::memory_order_acquire)) {
-    std::shared_lock lock(replicas_mu_);
-    replicas_[0]->engine->remove_set(tags, key);
-    return;
-  }
-  TAGMATCH_REPLICATED_WRITE(remove_set(tags, key));
+void ReplicaSet::remove_set(const Tagset& set, Matcher::Key key) {
+  replicated_write([&](TagMatch& engine) { engine.remove_set(set, key); });
 }
-
-void ReplicaSet::remove_set(const BloomFilter192& filter, Matcher::Key key) {
-  if (fast_path_.load(std::memory_order_acquire)) {
-    std::shared_lock lock(replicas_mu_);
-    replicas_[0]->engine->remove_set(filter, key);
-    return;
-  }
-  TAGMATCH_REPLICATED_WRITE(remove_set(filter, key));
-}
-
-#undef TAGMATCH_REPLICATED_WRITE
 
 // --- Consolidate + anti-entropy ---------------------------------------------
 
@@ -269,11 +232,7 @@ void ReplicaSet::repair_replica(unsigned index, Replica& reference) {
           std::binary_search(it->second.begin(), it->second.end(), key)) {
         continue;
       }
-      if (content.tag_hashes.empty()) {
-        lagging.engine->add_set(filter, key);
-      } else {
-        lagging.engine->add_set_hashed(filter, content.tag_hashes, key);
-      }
+      lagging.engine->add_set(Tagset(filter, content.tag_hashes), key);
     }
   }
   lagging.engine->consolidate();
@@ -406,31 +365,18 @@ unsigned ReplicaSet::pick_any_live(uint32_t exclude_mask) const {
 
 // --- Matching ----------------------------------------------------------------
 
-void ReplicaSet::match(const BloomFilter192& query, std::span<const uint64_t> tag_hashes,
-                       Matcher::MatchKind kind, int64_t deadline_ns,
+void ReplicaSet::match(Tagset query, Matcher::MatchKind kind, int64_t deadline_ns,
                        const obs::TraceContext& ctx, Matcher::MatchCallback callback) {
   if (fast_path_.load(std::memory_order_acquire)) {
     std::shared_lock lock(replicas_mu_);
-    TagMatch& engine = *replicas_[0]->engine;
-    if (tag_hashes.empty()) {
-      if (ctx.valid()) {
-        engine.match_async(query, kind, deadline_ns, ctx, std::move(callback));
-      } else if (deadline_ns != 0) {
-        engine.match_async(query, kind, deadline_ns, std::move(callback));
-      } else {
-        engine.match_async(query, kind, std::move(callback));
-      }
-    } else {
-      engine.match_async_hashed(query, tag_hashes, kind, std::move(callback), deadline_ns,
-                                ctx);
-    }
+    replicas_[0]->engine->match_async(std::move(query), kind, deadline_ns, ctx,
+                                      std::move(callback));
     return;
   }
 
   const int64_t now = now_ns();
   auto p = std::make_shared<Pending>();
-  p->query = query;
-  p->tag_hashes.assign(tag_hashes.begin(), tag_hashes.end());
+  p->query = std::move(query);
   p->kind = kind;
   p->deadline_ns = deadline_ns;
   p->ctx = ctx;
@@ -440,7 +386,7 @@ void ReplicaSet::match(const BloomFilter192& query, std::span<const uint64_t> ta
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
 
   if (hedging_) {
-    maybe_probe(query, tag_hashes, kind, deadline_ns, now);
+    maybe_probe(p->query, kind, now);
     unsigned r = pick_replica(0, /*count_failover=*/true);
     if (r >= replicas_.size()) {
       r = pick_any_live(0);  // Everyone quarantined: a live one still has the data.
@@ -524,18 +470,8 @@ bool ReplicaSet::dispatch(const std::shared_ptr<Pending>& p, unsigned r) {
     }
     absorb(p, r, std::move(keys));
   };
-  if (p->tag_hashes.empty()) {
-    if (p->ctx.valid()) {
-      rep.engine->match_async(p->query, p->kind, p->deadline_ns, p->ctx, std::move(on_done));
-    } else if (p->deadline_ns != 0) {
-      rep.engine->match_async(p->query, p->kind, p->deadline_ns, std::move(on_done));
-    } else {
-      rep.engine->match_async(p->query, p->kind, std::move(on_done));
-    }
-  } else {
-    rep.engine->match_async_hashed(p->query, p->tag_hashes, p->kind, std::move(on_done),
-                                   p->deadline_ns, p->ctx);
-  }
+  // A copy: a hedge may dispatch the same query to another replica.
+  rep.engine->match_async(p->query, p->kind, p->deadline_ns, p->ctx, std::move(on_done));
   return true;
 }
 
@@ -556,8 +492,7 @@ void ReplicaSet::absorb(const std::shared_ptr<Pending>& p, unsigned r,
 
 // --- Probing -----------------------------------------------------------------
 
-void ReplicaSet::maybe_probe(const BloomFilter192& query, std::span<const uint64_t> tag_hashes,
-                             Matcher::MatchKind kind, int64_t deadline_ns, int64_t now) {
+void ReplicaSet::maybe_probe(const Tagset& query, Matcher::MatchKind kind, int64_t now) {
   std::vector<unsigned> to_probe;
   {
     std::lock_guard lock(pending_mu_);
@@ -589,13 +524,12 @@ void ReplicaSet::maybe_probe(const BloomFilter192& query, std::span<const uint64
   }
   for (unsigned r : to_probe) {
     set_health(r, ReplicaHealth::kProbing);
-    dispatch_probe(r, query, {tag_hashes.begin(), tag_hashes.end()}, kind);
-    (void)deadline_ns;  // Probes run without a deadline; the sweeper bounds them.
+    // Probes run without a deadline; the sweeper bounds them.
+    dispatch_probe(r, query, kind);
   }
 }
 
-void ReplicaSet::dispatch_probe(unsigned r, const BloomFilter192& query,
-                                std::vector<uint64_t> tag_hashes, Matcher::MatchKind kind) {
+void ReplicaSet::dispatch_probe(unsigned r, const Tagset& query, Matcher::MatchKind kind) {
   std::shared_lock lock(replicas_mu_);
   Replica& rep = *replicas_[r];
   if (rep.dead.load(std::memory_order_acquire)) {
@@ -618,11 +552,7 @@ void ReplicaSet::dispatch_probe(unsigned r, const BloomFilter192& query,
     }
     probe_done(r);
   };
-  if (tag_hashes.empty()) {
-    rep.engine->match_async(query, kind, std::move(on_probe));
-  } else {
-    rep.engine->match_async_hashed(query, tag_hashes, kind, std::move(on_probe));
-  }
+  rep.engine->match_async(query, kind, std::move(on_probe));
 }
 
 void ReplicaSet::probe_done(unsigned r) {

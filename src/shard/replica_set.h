@@ -100,12 +100,8 @@ class ReplicaSet {
   ReplicaSet& operator=(const ReplicaSet&) = delete;
 
   // --- Replicated writes (best-effort: dead replicas miss them) ---
-  void add_set(std::span<const std::string> tags, Matcher::Key key);
-  void add_set(const BloomFilter192& filter, Matcher::Key key);
-  void add_set_hashed(const BloomFilter192& filter, std::span<const uint64_t> tag_hashes,
-                      Matcher::Key key);
-  void remove_set(std::span<const std::string> tags, Matcher::Key key);
-  void remove_set(const BloomFilter192& filter, Matcher::Key key);
+  void add_set(const Tagset& set, Matcher::Key key);
+  void remove_set(const Tagset& set, Matcher::Key key);
 
   // Consolidates every live replica, then runs anti-entropy: lagging or
   // freshly restarted replicas are diffed against the most-written replica
@@ -113,10 +109,9 @@ class ReplicaSet {
   void consolidate();
 
   // Exactly-once asynchronous match against one replica (hedged to a second
-  // on a slow primary). `tag_hashes` may be empty (signature-only match).
-  void match(const BloomFilter192& query, std::span<const uint64_t> tag_hashes,
-             Matcher::MatchKind kind, int64_t deadline_ns, const obs::TraceContext& ctx,
-             Matcher::MatchCallback callback);
+  // on a slow primary).
+  void match(Tagset query, Matcher::MatchKind kind, int64_t deadline_ns,
+             const obs::TraceContext& ctx, Matcher::MatchCallback callback);
 
   // Blocks until every accepted query has completed (including queries whose
   // primary died and that resolve through a hedge or the exhaustion backstop).
@@ -187,8 +182,7 @@ class ReplicaSet {
   // them, under `pending_mu_`. In the non-hedged path the Pending is never
   // published, so the accepting thread owns them throughout.
   struct Pending {
-    BloomFilter192 query;
-    std::vector<uint64_t> tag_hashes;
+    Tagset query;
     Matcher::MatchKind kind = Matcher::MatchKind::kMatch;
     int64_t deadline_ns = 0;
     obs::TraceContext ctx;
@@ -216,8 +210,7 @@ class ReplicaSet {
   void set_health(unsigned replica, ReplicaHealth health);
   // now >= quarantine_until: flips kQuarantined replicas to kProbing and
   // launches a shadow probe alongside the given query.
-  void maybe_probe(const BloomFilter192& query, std::span<const uint64_t> tag_hashes,
-                   Matcher::MatchKind kind, int64_t deadline_ns, int64_t now);
+  void maybe_probe(const Tagset& query, Matcher::MatchKind kind, int64_t now);
   // Selects the next serving replica (round-robin, skipping quarantined /
   // probing / dead-marked replicas). Counts a failover when the rotation had
   // to skip. Returns num_replicas() when nothing is selectable.
@@ -231,8 +224,7 @@ class ReplicaSet {
   // `p->tried` — callers mark `r` tried before calling, per the Pending
   // ownership protocol above.
   bool dispatch(const std::shared_ptr<Pending>& p, unsigned r);
-  void dispatch_probe(unsigned r, const BloomFilter192& query,
-                      std::vector<uint64_t> tag_hashes, Matcher::MatchKind kind);
+  void dispatch_probe(unsigned r, const Tagset& query, Matcher::MatchKind kind);
   void probe_done(unsigned r);
   void absorb(const std::shared_ptr<Pending>& p, unsigned r, std::vector<Matcher::Key> keys);
   void note_success(unsigned r, int64_t latency_ns);
@@ -241,6 +233,8 @@ class ReplicaSet {
   void record_latency(int64_t latency_ns);
   void sweep(int64_t now);  // One hedging / probe-timeout pass.
   void sweeper_loop();
+  // Applies one write to every live replica the fault plan lets it reach.
+  void replicated_write(const std::function<void(TagMatch&)>& write);
   void repair_replica(unsigned index, Replica& reference);
 
   const TagMatchConfig engine_config_;

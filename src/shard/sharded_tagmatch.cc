@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 
 #include "src/common/check.h"
 #include "src/common/stats.h"
@@ -34,9 +33,11 @@ ShardedTagMatch::ShardedTagMatch(ShardedConfig config)
   TAGMATCH_CHECK(config_.num_shards >= 1);
   TAGMATCH_CHECK(config_.num_replicas >= 1);
   // Pin the resolved scheme so the router's string-tag encodes, every shard
-  // engine, and manifest save/load all agree even if the environment changes.
-  scheme_ = &sig::resolve(config_.shard.signature_scheme);
-  config_.shard.signature_scheme = scheme_;
+  // engine, and manifest save/load all agree even if the environment changes
+  // (a bloom192-encoded query against blocked64-encoded tables silently
+  // matches nothing).
+  config_.shard.signature_scheme = &sig::resolve(config_.shard.signature_scheme);
+  bind_encoder(*config_.shard.signature_scheme, obs_.registry());
   policy_ = config_.policy ? config_.policy : std::make_shared<SignatureHashPolicy>();
   queries_ = obs_.registry().counter("shard.queries");
   partial_results_ = obs_.registry().counter("shard.partial_results");
@@ -93,10 +94,6 @@ ShardedTagMatch::~ShardedTagMatch() {
   router_epoch_.reset();   // Runs any retirement a commit left pending.
 }
 
-BloomFilter192 ShardedTagMatch::encode(std::span<const std::string> tags) const {
-  return BloomFilter192(scheme_->encode(tags));
-}
-
 std::unique_ptr<ReplicaSet> ShardedTagMatch::make_replica_set(unsigned shard_index) {
   ReplicaConfig rc;
   rc.num_replicas = config_.num_replicas;
@@ -120,8 +117,7 @@ std::unique_ptr<ReplicaSet> ShardedTagMatch::make_replica_set(unsigned shard_ind
 // in-bounds; while a reshard's mirror window is open every write is also
 // journaled for replay onto the new layout.
 
-void ShardedTagMatch::mirror(bool add, const BloomFilter192& filter,
-                             std::span<const uint64_t> tag_hashes, Key key) {
+void ShardedTagMatch::mirror(bool add, const Tagset& set, Key key) {
   if (!mirroring_.load(std::memory_order_acquire)) {
     return;
   }
@@ -129,54 +125,30 @@ void ShardedTagMatch::mirror(bool add, const BloomFilter192& filter,
   if (!mirroring_.load(std::memory_order_relaxed)) {
     return;  // The window closed while we waited for the journal lock.
   }
-  mirror_journal_.push_back(
-      MirrorOp{add, filter, {tag_hashes.begin(), tag_hashes.end()}, key});
+  mirror_journal_.push_back(MirrorOp{add, set, key});
 }
 
-void ShardedTagMatch::add_set(std::span<const std::string> tags, Key key) {
-  BloomFilter192 filter = encode(tags);
+void ShardedTagMatch::add_set(const Tagset& set, Key key) {
   epoch::EpochManager::Pin pin(*router_epoch_);
   const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
-  es.shards[shard_of(filter.bits(), key, es.shards.size())]->add_set(tags, key);
-  if (mirroring_.load(std::memory_order_acquire)) {
-    std::vector<uint64_t> hashes;
-    hashes.reserve(tags.size());
-    for (const auto& t : tags) {
-      hashes.push_back(TagMatch::tag_hash(t));
-    }
-    mirror(/*add=*/true, filter, hashes, key);
+  es.shards[shard_of(set.filter.bits(), key, es.shards.size())]->add_set(set, key);
+  mirror(/*add=*/true, set, key);
+}
+
+void ShardedTagMatch::remove_set(const Tagset& set, Key key) {
+  epoch::EpochManager::Pin pin(*router_epoch_);
+  const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
+  es.shards[shard_of(set.filter.bits(), key, es.shards.size())]->remove_set(set, key);
+  mirror(/*add=*/false, set, key);
+}
+
+void ShardedTagMatch::place(const std::vector<ReplicaSet*>& targets, const BloomFilter192& filter,
+                            std::span<const Key> keys,
+                            std::span<const uint64_t> tag_hashes) const {
+  const Tagset set(filter, {tag_hashes.begin(), tag_hashes.end()});
+  for (Key key : keys) {
+    targets[shard_of(filter.bits(), key, targets.size())]->add_set(set, key);
   }
-}
-
-void ShardedTagMatch::add_set(const BloomFilter192& filter, Key key) {
-  epoch::EpochManager::Pin pin(*router_epoch_);
-  const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
-  es.shards[shard_of(filter.bits(), key, es.shards.size())]->add_set(filter, key);
-  mirror(/*add=*/true, filter, {}, key);
-}
-
-void ShardedTagMatch::add_set_hashed(const BloomFilter192& filter,
-                                     std::span<const uint64_t> tag_hashes, Key key) {
-  epoch::EpochManager::Pin pin(*router_epoch_);
-  const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
-  es.shards[shard_of(filter.bits(), key, es.shards.size())]->add_set_hashed(filter, tag_hashes,
-                                                                            key);
-  mirror(/*add=*/true, filter, tag_hashes, key);
-}
-
-void ShardedTagMatch::remove_set(std::span<const std::string> tags, Key key) {
-  BloomFilter192 filter = encode(tags);
-  epoch::EpochManager::Pin pin(*router_epoch_);
-  const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
-  es.shards[shard_of(filter.bits(), key, es.shards.size())]->remove_set(tags, key);
-  mirror(/*add=*/false, filter, {}, key);
-}
-
-void ShardedTagMatch::remove_set(const BloomFilter192& filter, Key key) {
-  epoch::EpochManager::Pin pin(*router_epoch_);
-  const EngineSet& es = *engines_.load(std::memory_order_seq_cst);
-  es.shards[shard_of(filter.bits(), key, es.shards.size())]->remove_set(filter, key);
-  mirror(/*add=*/false, filter, {}, key);
 }
 
 void ShardedTagMatch::consolidate() {
@@ -212,8 +184,7 @@ void ShardedTagMatch::consolidate() {
 
 // --- Matching: scatter -----------------------------------------------------
 
-void ShardedTagMatch::scatter(const BloomFilter192& query, std::vector<uint64_t> tag_hashes,
-                              MatchKind kind, int64_t gather_deadline_ns,
+void ShardedTagMatch::scatter(Tagset query, MatchKind kind, int64_t gather_deadline_ns,
                               int64_t shard_deadline_ns, const obs::TraceContext& ctx,
                               ResultCallback callback) {
   queries_->inc();
@@ -249,7 +220,7 @@ void ShardedTagMatch::scatter(const BloomFilter192& query, std::vector<uint64_t>
   }
   for (const auto& shard : es.shards) {
     auto on_shard = [this, gather](std::vector<Key> keys) { absorb(gather, std::move(keys)); };
-    shard->match(query, tag_hashes, kind, shard_deadline_ns, shard_ctx, std::move(on_shard));
+    shard->match(query, kind, shard_deadline_ns, shard_ctx, std::move(on_shard));
   }
 }
 
@@ -359,136 +330,17 @@ void ShardedTagMatch::timeout_loop() {
 
 // --- Matcher match surface -------------------------------------------------
 
-void ShardedTagMatch::match_result_async(const BloomFilter192& query, MatchKind kind,
-                                         ResultCallback callback) {
-  scatter(query, {}, kind, /*gather_deadline_ns=*/0, /*shard_deadline_ns=*/0, {},
-          std::move(callback));
+void ShardedTagMatch::match_result_async(Tagset query, MatchKind kind, int64_t deadline_ns,
+                                         const obs::TraceContext& ctx, ResultCallback callback) {
+  scatter(std::move(query), kind, deadline_ns, deadline_ns, ctx, std::move(callback));
 }
 
-void ShardedTagMatch::match_result_async(const BloomFilter192& query, MatchKind kind,
-                                         int64_t deadline_ns, ResultCallback callback) {
-  scatter(query, {}, kind, deadline_ns, deadline_ns, {}, std::move(callback));
-}
-
-void ShardedTagMatch::match_result_async(std::span<const std::string> tags, MatchKind kind,
-                                         int64_t deadline_ns, ResultCallback callback) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  scatter(encode(tags), std::move(hashes), kind, deadline_ns, deadline_ns, {},
-          std::move(callback));
-}
-
-void ShardedTagMatch::match_result_async(const BloomFilter192& query, MatchKind kind,
-                                         int64_t deadline_ns, const obs::TraceContext& ctx,
-                                         ResultCallback callback) {
-  scatter(query, {}, kind, deadline_ns, deadline_ns, ctx, std::move(callback));
-}
-
-void ShardedTagMatch::match_result_async(std::span<const std::string> tags, MatchKind kind,
-                                         int64_t deadline_ns, const obs::TraceContext& ctx,
-                                         ResultCallback callback) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  scatter(encode(tags), std::move(hashes), kind, deadline_ns, deadline_ns, ctx,
-          std::move(callback));
-}
-
-void ShardedTagMatch::match_async(const BloomFilter192& query, MatchKind kind,
-                                  MatchCallback callback) {
-  scatter(query, {}, kind, /*gather_deadline_ns=*/0, /*shard_deadline_ns=*/0, {},
+// Keys-only: the deadline reaches the shard engines (early batch close) but
+// never sheds the gather — partiality is inexpressible here (see header).
+void ShardedTagMatch::submit(Tagset query, MatchKind kind, int64_t deadline_ns,
+                             const obs::TraceContext& ctx, MatchCallback callback) {
+  scatter(std::move(query), kind, /*gather_deadline_ns=*/0, deadline_ns, ctx,
           [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-void ShardedTagMatch::match_async(std::span<const std::string> tags, MatchKind kind,
-                                  MatchCallback callback) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  scatter(encode(tags), std::move(hashes), kind, /*gather_deadline_ns=*/0,
-          /*shard_deadline_ns=*/0, {},
-          [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-// Keys-only deadline overloads: the deadline reaches the shard engines
-// (early batch close) but never sheds the gather — partiality is
-// inexpressible here (see header).
-void ShardedTagMatch::match_async(const BloomFilter192& query, MatchKind kind,
-                                  int64_t deadline_ns, MatchCallback callback) {
-  scatter(query, {}, kind, /*gather_deadline_ns=*/0, deadline_ns, {},
-          [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-void ShardedTagMatch::match_async(std::span<const std::string> tags, MatchKind kind,
-                                  int64_t deadline_ns, MatchCallback callback) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  scatter(encode(tags), std::move(hashes), kind, /*gather_deadline_ns=*/0,
-          deadline_ns, {},
-          [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-void ShardedTagMatch::match_async(const BloomFilter192& query, MatchKind kind,
-                                  int64_t deadline_ns, const obs::TraceContext& ctx,
-                                  MatchCallback callback) {
-  scatter(query, {}, kind, /*gather_deadline_ns=*/0, deadline_ns, ctx,
-          [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-void ShardedTagMatch::match_async(std::span<const std::string> tags, MatchKind kind,
-                                  int64_t deadline_ns, const obs::TraceContext& ctx,
-                                  MatchCallback callback) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(tags.size());
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  scatter(encode(tags), std::move(hashes), kind, /*gather_deadline_ns=*/0,
-          deadline_ns, ctx,
-          [cb = std::move(callback)](MatchResult result) { cb(std::move(result.keys)); });
-}
-
-std::vector<Matcher::Key> ShardedTagMatch::match_sync(const BloomFilter192& query,
-                                                      MatchKind kind,
-                                                      std::vector<uint64_t> tag_hashes) {
-  std::promise<std::vector<Key>> promise;
-  auto future = promise.get_future();
-  scatter(query, std::move(tag_hashes), kind, /*gather_deadline_ns=*/0,
-          /*shard_deadline_ns=*/0, {},
-          [&promise](MatchResult result) { promise.set_value(std::move(result.keys)); });
-  flush();
-  return future.get();
-}
-
-std::vector<Matcher::Key> ShardedTagMatch::match(const BloomFilter192& query) {
-  return match_sync(query, MatchKind::kMatch, {});
-}
-std::vector<Matcher::Key> ShardedTagMatch::match_unique(const BloomFilter192& query) {
-  return match_sync(query, MatchKind::kMatchUnique, {});
-}
-std::vector<Matcher::Key> ShardedTagMatch::match(std::span<const std::string> tags) {
-  std::vector<uint64_t> hashes;
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  return match_sync(encode(tags), MatchKind::kMatch, std::move(hashes));
-}
-std::vector<Matcher::Key> ShardedTagMatch::match_unique(std::span<const std::string> tags) {
-  std::vector<uint64_t> hashes;
-  for (const auto& t : tags) {
-    hashes.push_back(TagMatch::tag_hash(t));
-  }
-  return match_sync(encode(tags), MatchKind::kMatchUnique, std::move(hashes));
 }
 
 void ShardedTagMatch::flush() {
@@ -728,9 +580,11 @@ bool ShardedTagMatch::load_index(const std::string& path) {
   // the constructed config), at the configured replica count.
   const unsigned target_shards = num_shards_.load(std::memory_order_acquire);
   std::vector<std::unique_ptr<ReplicaSet>> fresh;
+  std::vector<ReplicaSet*> targets;
   fresh.reserve(target_shards);
   for (unsigned i = 0; i < target_shards; ++i) {
     fresh.push_back(make_replica_set(i));
+    targets.push_back(fresh.back().get());
   }
 
   if (m.num_shards == target_shards && m.policy == policy_->name()) {
@@ -759,14 +613,7 @@ bool ShardedTagMatch::load_index(const std::string& path) {
       }
       scratch.for_each_set([&](const BloomFilter192& filter, std::span<const Key> keys,
                                std::span<const uint64_t> tag_hashes) {
-        for (Key key : keys) {
-          ReplicaSet& target = *fresh[shard_of(filter.bits(), key, fresh.size())];
-          if (tag_hashes.empty()) {
-            target.add_set(filter, key);
-          } else {
-            target.add_set_hashed(filter, tag_hashes, key);
-          }
-        }
+        place(targets, filter, keys, tag_hashes);
       });
     }
     // Fresh engines serve no queries yet; build them in parallel on the
@@ -854,14 +701,7 @@ bool ShardedTagMatch::reshard(unsigned new_num_shards) {
     for (const auto& shard : es.shards) {
       shard->for_each_set([&](const BloomFilter192& filter, std::span<const Key> keys,
                               std::span<const uint64_t> tag_hashes) {
-        for (Key key : keys) {
-          ReplicaSet& target = *targets[shard_of(filter.bits(), key, targets.size())];
-          if (tag_hashes.empty()) {
-            target.add_set(filter, key);
-          } else {
-            target.add_set_hashed(filter, tag_hashes, key);
-          }
-        }
+        place(targets, filter, keys, tag_hashes);
       });
     }
   }
@@ -900,15 +740,11 @@ void ShardedTagMatch::drain_mirror(const std::vector<ReplicaSet*>& targets, size
     batch.swap(mirror_journal_);
   }
   for (const MirrorOp& op : batch) {
-    ReplicaSet& target = *targets[shard_of(op.filter.bits(), op.key, new_count)];
+    ReplicaSet& target = *targets[shard_of(op.set.filter.bits(), op.key, new_count)];
     if (op.add) {
-      if (op.tag_hashes.empty()) {
-        target.add_set(op.filter, op.key);
-      } else {
-        target.add_set_hashed(op.filter, op.tag_hashes, op.key);
-      }
+      target.add_set(op.set, op.key);
     } else {
-      target.remove_set(op.filter, op.key);
+      target.remove_set(op.set, op.key);
     }
   }
 }

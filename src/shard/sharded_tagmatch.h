@@ -75,8 +75,8 @@ struct ShardedConfig {
   // arrived within this budget, the gather fires with what it has and
   // MatchResult::partial set; late responses are dropped (counted in
   // ShardStats::shards_shed). Zero waits indefinitely (exact results) unless
-  // the caller supplies a per-query deadline through the deadline-carrying
-  // match_result_async overload, which takes the tighter of the two budgets.
+  // the caller supplies a per-query deadline through match_result_async,
+  // which takes the tighter of the two budgets.
   std::chrono::milliseconds query_timeout{0};
   // Rebuild shards in parallel during consolidate(). Disable to measure the
   // sequential-rebuild baseline (bench_shard_scaling reports both).
@@ -92,12 +92,11 @@ class ShardedTagMatch : public Matcher {
   ShardedTagMatch& operator=(const ShardedTagMatch&) = delete;
 
   // --- Table maintenance (staged; effective after consolidate) ---
-  void add_set(std::span<const std::string> tags, Key key) override;
-  void add_set(const BloomFilter192& filter, Key key) override;
-  void add_set_hashed(const BloomFilter192& filter, std::span<const uint64_t> tag_hashes,
-                      Key key);
-  void remove_set(std::span<const std::string> tags, Key key) override;
-  void remove_set(const BloomFilter192& filter, Key key) override;
+  // Routed to one shard by the placement policy and replicated within it.
+  // Strings are encoded once, at the router (Matcher::encode); the shard
+  // engines receive the finished Tagset.
+  void add_set(const Tagset& set, Key key) override;
+  void remove_set(const Tagset& set, Key key) override;
   // Rebuilds every shard (concurrently by default). Matching stays live on
   // every shard throughout: each engine publishes its rebuilt index as an
   // epoch snapshot, so no gather stalls on a rebuild.
@@ -105,54 +104,28 @@ class ShardedTagMatch : public Matcher {
 
   // --- Matching ---
   // Scatter to all shards, gather exactly once per query. The degraded
-  // result surface: partial is true iff the gather timed out and shed at
-  // least one shard's response.
+  // result surface: partial is true iff the gather shed at least one shard's
+  // response. `deadline_ns` (absolute, now_ns() domain; 0 = none) sheds the
+  // gather at the tighter of the deadline and the configured query_timeout,
+  // and also reaches every shard engine so their deadline-aware batch close
+  // bounds in-shard queueing. A valid `ctx` makes the router record its
+  // gather span under the caller's trace (parented on ctx.parent_span_id)
+  // and fan a per-query child context out to every shard engine, so one
+  // publish yields one connected trace across shards and their GPU streams.
   struct MatchResult {
     std::vector<Key> keys;
     bool partial = false;
   };
   using ResultCallback = std::function<void(MatchResult)>;
-  void match_result_async(const BloomFilter192& query, MatchKind kind, ResultCallback callback);
-  // Deadline-carrying variants (the broker's publish-SLO path): `deadline_ns`
-  // is an absolute now_ns() timestamp (0 = none). The gather fires partial at
-  // the tighter of the deadline and the configured query_timeout, and the
-  // deadline is also propagated to every shard engine so their deadline-aware
-  // batch close bounds in-shard queueing.
-  void match_result_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                          ResultCallback callback);
-  void match_result_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                          ResultCallback callback);
-  // Trace-carrying variants: a valid `ctx` makes the router record its gather
-  // span under the caller's trace (parented on ctx.parent_span_id) and fan a
-  // per-query child context out to every shard engine, so one publish yields
-  // one connected trace across shards and their GPU streams.
-  void match_result_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                          const obs::TraceContext& ctx, ResultCallback callback);
-  void match_result_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
+  void match_result_async(Tagset query, MatchKind kind, int64_t deadline_ns,
                           const obs::TraceContext& ctx, ResultCallback callback);
 
-  // Matcher surface; the callback receives keys only (partial results are
-  // still delivered — inspect ShardStats to observe shedding).
-  void match_async(const BloomFilter192& query, MatchKind kind, MatchCallback callback) override;
-  void match_async(std::span<const std::string> tags, MatchKind kind,
-                   MatchCallback callback) override;
-  // Deadline-carrying Matcher overloads: the deadline reaches the shard
-  // engines (early batch close) but does NOT shed the gather — a keys-only
-  // callback cannot express a partial result, so these stay exact unless
-  // config query_timeout sheds as before. Use match_result_async with a
-  // deadline for deadline-driven shedding.
-  void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                   MatchCallback callback) override;
-  void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                   MatchCallback callback) override;
-  void match_async(const BloomFilter192& query, MatchKind kind, int64_t deadline_ns,
-                   const obs::TraceContext& ctx, MatchCallback callback) override;
-  void match_async(std::span<const std::string> tags, MatchKind kind, int64_t deadline_ns,
-                   const obs::TraceContext& ctx, MatchCallback callback) override;
-  std::vector<Key> match(const BloomFilter192& query) override;
-  std::vector<Key> match_unique(const BloomFilter192& query) override;
-  std::vector<Key> match(std::span<const std::string> tags) override;
-  std::vector<Key> match_unique(std::span<const std::string> tags) override;
+  // The Matcher match forms (match_async, match, match_unique) deliver keys
+  // only. Their deadline reaches the shard engines (early batch close) but
+  // does NOT shed the gather — a keys-only callback cannot express a partial
+  // result, so they stay exact unless config query_timeout sheds (partial
+  // results are then still delivered; inspect ShardStats to observe
+  // shedding).
 
   // --- Persistence ---
   // save_index writes `path` (the manifest: shard count, policy name, shard
@@ -214,6 +187,10 @@ class ShardedTagMatch : public Matcher {
   unsigned num_replicas() const { return config_.num_replicas; }
   const ShardPolicy& policy() const { return *policy_; }
 
+ protected:
+  void submit(Tagset query, MatchKind kind, int64_t deadline_ns, const obs::TraceContext& ctx,
+              MatchCallback callback) override;
+
  private:
   struct Gather;
 
@@ -229,8 +206,7 @@ class ShardedTagMatch : public Matcher {
   // the new layout before and after the epoch handoff.
   struct MirrorOp {
     bool add = true;
-    BloomFilter192 filter;
-    std::vector<uint64_t> tag_hashes;
+    Tagset set;
     Key key = 0;
   };
 
@@ -239,23 +215,22 @@ class ShardedTagMatch : public Matcher {
   }
   std::unique_ptr<ReplicaSet> make_replica_set(unsigned shard_index);
   // Appends to the mirror journal when a reshard window is open.
-  void mirror(bool add, const BloomFilter192& filter, std::span<const uint64_t> tag_hashes,
-              Key key);
+  void mirror(bool add, const Tagset& set, Key key);
+  // Re-adds one enumerated set (for_each_set) onto `targets` under the live
+  // policy: the redistribution step of reshard-on-load and live reshard.
+  void place(const std::vector<ReplicaSet*>& targets, const BloomFilter192& filter,
+             std::span<const Key> keys, std::span<const uint64_t> tag_hashes) const;
   // Replays journal batches onto `targets` until the journal is empty.
   void drain_mirror(const std::vector<ReplicaSet*>& targets, size_t new_count);
-  // String-tag entry points must encode under the same signature scheme the
-  // shard engines run (scheme_, pinned at construction) — a bloom192-encoded
-  // query against blocked64-encoded tables silently matches nothing.
-  BloomFilter192 encode(std::span<const std::string> tags) const;
   // `gather_deadline_ns` sheds the gather when it passes (0 = no shedding);
   // `shard_deadline_ns` is forwarded to the shard engines' deadline-aware
   // batch close (0 = none). Both absolute, now_ns() domain.
   // A valid `ctx` turns on causal tracing for the query: the gather span
   // records under it and each shard receives a child context parented on the
   // (pre-allocated) gather span id.
-  void scatter(const BloomFilter192& query, std::vector<uint64_t> tag_hashes, MatchKind kind,
-               int64_t gather_deadline_ns, int64_t shard_deadline_ns,
-               const obs::TraceContext& ctx, ResultCallback callback);
+  void scatter(Tagset query, MatchKind kind, int64_t gather_deadline_ns,
+               int64_t shard_deadline_ns, const obs::TraceContext& ctx,
+               ResultCallback callback);
   // Starts the timeout sweeper on first use (config query_timeout starts it
   // eagerly; per-query deadlines start it on demand).
   void ensure_timeout_thread();
@@ -273,11 +248,8 @@ class ShardedTagMatch : public Matcher {
   // the engine-set pointer, waits for pinned readers to drain, then retires
   // the outgoing engines (their destructors flush in-flight work).
   void commit_engines(std::vector<std::unique_ptr<ReplicaSet>> fresh);
-  std::vector<Key> match_sync(const BloomFilter192& query, MatchKind kind,
-                              std::vector<uint64_t> tag_hashes);
 
   ShardedConfig config_;
-  const sig::SignatureScheme* scheme_ = nullptr;  // Resolved once, never null.
   std::shared_ptr<const ShardPolicy> policy_;
   // Router-level task scheduler: gather merges, concurrent consolidate and
   // reshard-on-load rebuilds. Deliberately distinct from the shard engines'

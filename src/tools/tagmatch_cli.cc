@@ -53,6 +53,7 @@ namespace {
 using tagmatch::BloomFilter192;
 using tagmatch::Matcher;
 using tagmatch::TagMatch;
+using tagmatch::Tagset;
 
 std::vector<std::string> split_tags(const std::string& csv) {
   std::vector<std::string> tags;
@@ -269,7 +270,7 @@ int cmd_build(int argc, char** argv, unsigned shards, const std::string& stats_j
     }
     uint32_t key = static_cast<uint32_t>(std::strtoul(line.substr(0, tab).c_str(), nullptr, 10));
     std::vector<std::string> tags = split_tags(line.substr(tab + 1));
-    engine->add_set(tags, key);
+    engine->add_set(engine->encode(tags), key);
     ++count;
   }
   tagmatch::StopWatch watch;
@@ -312,10 +313,9 @@ int cmd_query(int argc, char** argv, unsigned shards, const std::string& stats_j
     if (line.empty()) {
       continue;
     }
-    std::vector<std::string> tags = split_tags(line);
+    Tagset query = engine->encode(split_tags(line));
     std::vector<Matcher::Key> keys =
-        unique ? engine->match_unique(std::span<const std::string>(tags))
-               : engine->match(std::span<const std::string>(tags));
+        unique ? engine->match_unique(std::move(query)) : engine->match(std::move(query));
     std::printf("%zu", keys.size());
     for (auto k : keys) {
       std::printf(" %u", k);
@@ -346,15 +346,13 @@ int cmd_bench(int argc, char** argv, unsigned shards, const std::string& stats_j
     return 1;
   }
   const unsigned repeat = argc > 4 ? static_cast<unsigned>(std::strtoul(argv[4], nullptr, 10)) : 3;
+  // Signature-only queries, encoded up front under the engine's scheme (the
+  // one the index was built with; a mismatched index fails to load).
   std::vector<BloomFilter192> queries;
-  const tagmatch::sig::SignatureScheme& scheme = tagmatch::sig::resolve(g_scheme);
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty()) {
-      std::vector<std::string> tags = split_tags(line);
-      // Queries must be encoded under the same scheme the index was built
-      // with (the engine would reject a mismatched index at load).
-      queries.push_back(BloomFilter192(scheme.encode(tags)));
+      queries.push_back(engine->encode(split_tags(line)).filter);
     }
   }
   if (queries.empty()) {

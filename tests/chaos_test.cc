@@ -189,7 +189,7 @@ TEST(Chaos, CpuFallbackFansOutAcrossWorkers) {
     std::vector<std::vector<Key>> results;
     Matcher::Stats stats;
     uint64_t tasks_executed = 0;
-    double seconds = 0;
+    unsigned busy_workers = 0;  // Workers whose task.run_ns.w<i> saw a task.
   };
   auto run_degraded = [&](unsigned workers) {
     TagMatchConfig config = base_config();
@@ -203,15 +203,19 @@ TEST(Chaos, CpuFallbackFansOutAcrossWorkers) {
       tm.add_set(BloomFilter192(f), k);
     }
     tm.consolidate();
-    const auto start = std::chrono::steady_clock::now();
     for (const auto& q : w.queries) {
       auto keys = tm.match(BloomFilter192(q));
       std::sort(keys.begin(), keys.end());
       run.results.push_back(std::move(keys));
     }
-    run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     run.stats = tm.stats();
-    run.tasks_executed = tm.metrics_snapshot().counters.at("task.executed");
+    const obs::MetricsSnapshot snap = tm.metrics_snapshot();
+    run.tasks_executed = snap.counters.at("task.executed");
+    for (const auto& [name, h] : snap.histograms) {
+      if (name.rfind("task.run_ns.w", 0) == 0 && h.count > 0) {
+        ++run.busy_workers;
+      }
+    }
     return run;
   };
 
@@ -222,14 +226,14 @@ TEST(Chaos, CpuFallbackFansOutAcrossWorkers) {
   EXPECT_GE(single.stats.cpu_fallback_batches, 1u);
   EXPECT_GE(pooled.stats.cpu_fallback_batches, 1u);
   // Fan-out proof by mechanism, not wall clock: with one worker the
-  // parallel_for inlines (no helper tasks), with four it submits helpers
-  // per fallback batch — so the pooled run must execute strictly more tasks.
+  // parallel_for inlines (no helper tasks), with four it submits one helper
+  // per worker queue per fallback batch — so the pooled run must execute
+  // strictly more tasks, spread over more than one worker. (Both runs issue
+  // one synchronous match() at a time, so the fan-out cannot show in wall
+  // clock; bench/baselines gates the scaling curve.)
   EXPECT_GT(pooled.tasks_executed, single.tasks_executed);
-  // Wall-clock scaling is only meaningful with real cores to scale onto;
-  // CI containers are often single-core (bench/baselines gates the curve).
-  if (std::thread::hardware_concurrency() >= 4) {
-    EXPECT_LT(pooled.seconds, single.seconds);
-  }
+  EXPECT_EQ(single.busy_workers, 1u);
+  EXPECT_GE(pooled.busy_workers, 2u);
 }
 
 // Randomized plan sweep: whatever FaultPlan::random draws — transient

@@ -55,7 +55,7 @@ TEST(ChurnStress, QueriesSeeExactlyOnePublishedEpoch) {
     threads.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
         const Key lo = published.load(std::memory_order_acquire);
-        auto keys = tm.match_unique(probe);
+        auto keys = tm.match_unique(tm.encode(probe));
         const Key hi = published.load(std::memory_order_acquire);
         std::set<Key> got(keys.begin(), keys.end());
         EXPECT_EQ(got.size(), keys.size());
@@ -94,7 +94,7 @@ TEST(ChurnStress, QueriesSeeExactlyOnePublishedEpoch) {
 
   for (Key e = 1; e <= kEpochs; ++e) {
     std::vector<std::string> tags = {"all", "g" + std::to_string(e % 8)};
-    tm.add_set(tags, e);
+    tm.add_set(tm.encode(tags), e);
     tm.consolidate();
     published.store(e, std::memory_order_release);
   }
@@ -102,7 +102,7 @@ TEST(ChurnStress, QueriesSeeExactlyOnePublishedEpoch) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(tm.match_unique(probe).size(), static_cast<size_t>(kEpochs));
+  EXPECT_EQ(tm.match_unique(tm.encode(probe)).size(), static_cast<size_t>(kEpochs));
 }
 
 // Removals race the same way: a (filter, key) pair removed at epoch e must
@@ -117,22 +117,22 @@ TEST(ChurnStress, RemovalChurnNeverLeavesPhantoms) {
 
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      auto keys = tm.match(probe);
+      auto keys = tm.match(tm.encode(probe));
       // The pair is either fully present or fully absent — duplicated
       // entries (the old remove-first-occurrence bug) show up as size > 1.
       EXPECT_LE(keys.size(), 1u);
     }
   });
   for (int cycle = 0; cycle < 40; ++cycle) {
-    tm.add_set(tags, 1);
-    tm.add_set(tags, 1);  // Duplicate staging, deduped on apply.
+    tm.add_set(tm.encode(tags), 1);
+    tm.add_set(tm.encode(tags), 1);  // Duplicate staging, deduped on apply.
     tm.consolidate();
-    tm.remove_set(tags, 1);
+    tm.remove_set(tm.encode(tags), 1);
     tm.consolidate();
   }
   done.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_TRUE(tm.match(probe).empty());
+  EXPECT_TRUE(tm.match(tm.encode(probe)).empty());
 }
 
 // The broker's staged-churn path end to end: subscribe/unsubscribe churn

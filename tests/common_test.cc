@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <set>
 #include <thread>
 #include <vector>

@@ -5,6 +5,12 @@
 // StatusReturns suite below and tests/chaos_test.cc for the recovery paths).
 #include <gtest/gtest.h>
 
+#include <source_location>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/common/one_shot.h"
 #include "src/core/gpu_engine.h"
 #include "src/core/tagmatch.h"
 #include "src/gpusim/device.h"
@@ -173,6 +179,22 @@ TEST(StatusReturns, DeviceLossRuleMarksDeviceLost) {
   stream.memcpy_d2h(&x, &x, 0);
   stream.synchronize();
   EXPECT_EQ(stream.take_error(), gpusim::OpError::kDeviceLost);
+}
+
+// A one-shot completed twice — the "Promise already satisfied" class of bug —
+// aborts with both completion sites in the message, not an anonymous throw.
+TEST_F(DeathTestEnv, OneShotSecondCompletionNamesBothSites) {
+  const std::source_location first = std::source_location::current();
+  const std::source_location second = std::source_location::current();
+  EXPECT_DEATH(
+      {
+        OneShot<std::vector<int>> slot;
+        slot.set({1}, first);
+        std::thread late([&] { slot.set({2}, second); });
+        late.join();
+      },
+      "OneShot completed twice: first at .*death_test.cc:" + std::to_string(first.line()) +
+          " .* again at .*death_test.cc:" + std::to_string(second.line()) + " ");
 }
 
 TEST(StatusReturns, FaultPlanSpecRoundTrips) {

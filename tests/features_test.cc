@@ -63,9 +63,9 @@ TEST(ExactCheck, RejectsInjectedFalsePositive) {
     TagMatchConfig config = small_config();
     config.exact_check = exact;
     TagMatch tm(config);
-    tm.add_set_hashed(fake_subset, std::span(&unrelated_hash, 1), 7);
+    tm.add_set(Tagset(fake_subset, {unrelated_hash}), 7);
     tm.consolidate();
-    auto keys = tm.match(qtags);
+    auto keys = tm.match(tm.encode(qtags));
     if (exact) {
       EXPECT_TRUE(keys.empty());
       EXPECT_EQ(tm.stats().exact_rejections, 1u);
@@ -81,11 +81,11 @@ TEST(ExactCheck, TruePositivesUnaffected) {
   TagMatch tm(config);
   std::vector<std::string> s1 = {"a", "b"};
   std::vector<std::string> s2 = {"c"};
-  tm.add_set(s1, 1);
-  tm.add_set(s2, 2);
+  tm.add_set(tm.encode(s1), 1);
+  tm.add_set(tm.encode(s2), 2);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b", "c"};
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));
   EXPECT_EQ(tm.stats().exact_rejections, 0u);
 }
 
@@ -99,7 +99,7 @@ TEST(ExactCheck, FilterOnlySetsSkipVerification) {
   tm.add_set(enc(s), 5);  // Filter-only.
   tm.consolidate();
   std::vector<std::string> q = {"x", "y"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{5}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{5}));
 }
 
 TEST(ExactCheck, FilterOnlyQueriesSkipVerification) {
@@ -107,7 +107,7 @@ TEST(ExactCheck, FilterOnlyQueriesSkipVerification) {
   config.exact_check = true;
   TagMatch tm(config);
   std::vector<std::string> s = {"x"};
-  tm.add_set(s, 5);
+  tm.add_set(tm.encode(s), 5);
   tm.consolidate();
   std::vector<std::string> q = {"x", "y"};
   // Query submitted as a bare filter: no hashes to verify against.
@@ -124,7 +124,7 @@ TEST(ExactCheck, HashedApiRoundTrip) {
   for (TagId t : tags) {
     hashes.push_back(mix64(t));
   }
-  tm.add_set_hashed(workload::encode_tags(tags), hashes, 9);
+  tm.add_set(Tagset(workload::encode_tags(tags), hashes), 9);
   tm.consolidate();
 
   std::vector<TagId> qtags = tags;
@@ -134,8 +134,8 @@ TEST(ExactCheck, HashedApiRoundTrip) {
     qhashes.push_back(mix64(t));
   }
   std::vector<Key> got;
-  tm.match_async_hashed(workload::encode_tags(qtags), qhashes, TagMatch::MatchKind::kMatch,
-                        [&](std::vector<Key> keys) { got = std::move(keys); });
+  tm.match_async(Tagset(workload::encode_tags(qtags), qhashes), TagMatch::MatchKind::kMatch,
+                 [&](std::vector<Key> keys) { got = std::move(keys); });
   tm.flush();
   EXPECT_EQ(got, (std::vector<Key>{9}));
 }
@@ -192,21 +192,21 @@ TEST_F(PersistenceTest, LoadedIndexSupportsFurtherUpdates) {
   {
     TagMatch tm(small_config());
     std::vector<std::string> s = {"a"};
-    tm.add_set(s, 1);
+    tm.add_set(tm.encode(s), 1);
     tm.consolidate();
     ASSERT_TRUE(tm.save_index(path_));
   }
   TagMatch tm(small_config());
   ASSERT_TRUE(tm.load_index(path_));
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{1}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{1}));
 
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s2, 2);
+  tm.add_set(tm.encode(s2), 2);
   std::vector<std::string> s1 = {"a"};
-  tm.remove_set(s1, 1);
+  tm.remove_set(tm.encode(s1), 1);
   tm.consolidate();
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{2}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{2}));
 }
 
 TEST_F(PersistenceTest, ExactHashesSurviveSaveLoad) {
@@ -220,13 +220,13 @@ TEST_F(PersistenceTest, ExactHashesSurviveSaveLoad) {
   const uint64_t h = TagMatch::tag_hash("unrelated");
   {
     TagMatch tm(config);
-    tm.add_set_hashed(fake, std::span(&h, 1), 3);
+    tm.add_set(Tagset(fake, {h}), 3);
     tm.consolidate();
     ASSERT_TRUE(tm.save_index(path_));
   }
   TagMatch tm(config);
   ASSERT_TRUE(tm.load_index(path_));
-  EXPECT_TRUE(tm.match(qtags).empty());  // Still exact-rejected after load.
+  EXPECT_TRUE(tm.match(tm.encode(qtags)).empty());  // Still exact-rejected after load.
   EXPECT_EQ(tm.stats().exact_rejections, 1u);
 }
 

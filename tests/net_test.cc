@@ -482,7 +482,10 @@ TEST(NetTelemetry, ClientTraceIdRidesPipelineAndEchoesOnDelivery) {
   EXPECT_EQ(msg->trace_id, trace_id);
 
   // sampled=true forces retention: the trace shows up in TRACEX under the
-  // external id (rendered in decimal by the Chrome-JSON exporter).
+  // external id (rendered in decimal by the Chrome-JSON exporter). The MSG
+  // is written before the publish callback retains the trace, so wait for
+  // the callback to return first: flush() returns only once it has.
+  broker.flush();
   auto tracex = producer.tracex_json();
   ASSERT_TRUE(tracex.has_value());
   EXPECT_NE(tracex->find(std::to_string(trace_id)), std::string::npos);

@@ -329,7 +329,7 @@ TagMatchConfig tiny_engine_config() {
 // and an unchanged scheme id, while share-of-total gauges double.
 TEST(Obs, EngineGaugesMergeByDeclaredMode) {
   TagMatch engine(tiny_engine_config());
-  engine.add_set(std::vector<std::string>{"a"}, 1);
+  engine.add_set(engine.encode(std::vector<std::string>{"a"}), 1);
   engine.consolidate();
   MetricsSnapshot e = engine.metrics_snapshot();
   MetricsSnapshot doubled = e;
@@ -354,9 +354,9 @@ TEST(Obs, EveryRegisteredMetricIsDocumented) {
 
   {
     TagMatch engine(tiny_engine_config());
-    engine.add_set(std::vector<std::string>{"a", "b"}, 1);
+    engine.add_set(engine.encode(std::vector<std::string>{"a", "b"}), 1);
     engine.consolidate();
-    engine.match(std::vector<std::string>{"a", "b", "c"});
+    engine.match(engine.encode(std::vector<std::string>{"a", "b", "c"}));
     for (const auto& [name, v] : engine.metrics_snapshot().counters) {
       names.insert(name);
     }

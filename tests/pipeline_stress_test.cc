@@ -80,14 +80,14 @@ TEST(PipelineStress, ConcurrentProducers) {
 TEST(PipelineStress, SyncMatchInterleavedWithAsync) {
   TagMatch tm(stress_config());
   std::vector<std::string> s = {"alpha", "beta"};
-  tm.add_set(s, 7);
+  tm.add_set(tm.encode(s), 7);
   tm.consolidate();
   std::vector<std::string> q = {"alpha", "beta", "gamma"};
   std::atomic<int> async_done{0};
   for (int round = 0; round < 20; ++round) {
     tm.match_async(BloomFilter192(sig::resolve(nullptr).encode(q)), TagMatch::MatchKind::kMatch,
                    [&async_done](std::vector<Key>) { async_done++; });
-    EXPECT_EQ(tm.match(q), (std::vector<Key>{7}));
+    EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{7}));
   }
   tm.flush();
   EXPECT_EQ(async_done.load(), 20);
@@ -103,11 +103,11 @@ TEST(PipelineStress, RepeatedConsolidateCycles) {
     for (int i = 0; i < 200; ++i) {
       tm.add_set(random_filter(rng, 3), static_cast<Key>(cycle * 1000 + i));
     }
-    tm.add_set(probe, static_cast<Key>(90000 + cycle));
+    tm.add_set(tm.encode(probe), static_cast<Key>(90000 + cycle));
     tm.consolidate();
     // The probe added in every cycle so far must be found.
     std::vector<std::string> q = {"probe", "extra"};
-    auto keys = tm.match_unique(q);
+    auto keys = tm.match_unique(tm.encode(q));
     EXPECT_EQ(keys.size(), static_cast<size_t>(cycle + 1));
   }
 }
@@ -187,7 +187,7 @@ TEST(PipelineStress, TimeoutDeliversWithoutFlush) {
   config.batch_timeout = std::chrono::milliseconds(5);
   TagMatch tm(config);
   std::vector<std::string> s = {"x"};
-  tm.add_set(s, 1);
+  tm.add_set(tm.encode(s), 1);
   tm.consolidate();
   std::atomic<int> done{0};
   std::vector<std::string> q = {"x", "y"};

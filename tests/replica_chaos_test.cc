@@ -301,8 +301,8 @@ TEST(ReplicaChaos, AllReplicasDeadDegradesImmediatelyUnderHedging) {
 
   const int64_t start = now_ns();
   std::promise<std::vector<Key>> done;
-  set.match(BloomFilter192(random_filter(rng, 80, 3)), {}, Matcher::MatchKind::kMatch, 0,
-            {}, [&done](std::vector<Key> keys) { done.set_value(std::move(keys)); });
+  set.match(BloomFilter192(random_filter(rng, 80, 3)), Matcher::MatchKind::kMatch, 0, {},
+            [&done](std::vector<Key> keys) { done.set_value(std::move(keys)); });
   auto fut = done.get_future();
   ASSERT_EQ(fut.wait_for(std::chrono::milliseconds(100)), std::future_status::ready)
       << "all-dead accept must not wait for the exhaustion backstop";
@@ -374,7 +374,7 @@ TEST(ReplicaChaosHealth, QuarantineProbeRecoverHealthySequence) {
 
   auto query_once = [&](const BitVector192& q) {
     std::promise<void> done;
-    set.match(BloomFilter192(q), {}, Matcher::MatchKind::kMatch, 0, {},
+    set.match(BloomFilter192(q), Matcher::MatchKind::kMatch, 0, {},
               [&done](std::vector<Key>) { done.set_value(); });
     done.get_future().wait();
   };

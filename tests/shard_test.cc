@@ -244,6 +244,35 @@ TEST(MatcherStats, AggregationSumsCountersAndKeepsSlowestRebuild) {
   EXPECT_DOUBLE_EQ(a.last_consolidate_seconds, 0.5);
 }
 
+// Strings are encoded once, at the router: a string add and a string match
+// on a 2-shard x 2-replica deployment each record exactly one
+// sig.encode_ns sample in the merged registry, not one per replica, and the
+// exact-check hashes still reach the replica that answers.
+TEST(ShardedTagMatch, StringCallsEncodeOnceAtTheRouter) {
+  ShardedConfig config = sharded_config(2);
+  config.num_replicas = 2;
+  config.shard.exact_check = true;
+  ShardedTagMatch engine(config);
+  const auto encodes = [&engine] {
+    const obs::MetricsSnapshot snap = engine.metrics_snapshot();
+    const auto it = snap.histograms.find("sig.encode_ns");
+    return it == snap.histograms.end() ? uint64_t{0} : it->second.count;
+  };
+  const uint64_t before = encodes();
+  engine.add_set(engine.encode(std::vector<std::string>{"a", "b"}), 7);
+  EXPECT_EQ(encodes(), before + 1);
+  engine.consolidate();
+
+  std::promise<std::vector<Key>> got;
+  engine.match_async(engine.encode(std::vector<std::string>{"a", "b", "c"}),
+                     Matcher::MatchKind::kMatch,
+                     [&got](std::vector<Key> keys) { got.set_value(std::move(keys)); });
+  engine.flush();
+  EXPECT_EQ(encodes(), before + 2);
+  EXPECT_EQ(got.get_future().get(), (std::vector<Key>{7}));
+  EXPECT_EQ(engine.stats().exact_rejections, 0u);
+}
+
 TEST(ShardedTagMatch, StatsAggregateAcrossShards) {
   Workload w(15);
   ShardedTagMatch engine(sharded_config(3));
@@ -410,7 +439,7 @@ TEST(ShardedTagMatch, TimeoutDeliversPartialResultAndCountsShedShards) {
   }
   std::promise<ShardedTagMatch::MatchResult> promise;
   auto result = promise.get_future();
-  engine.match_result_async(BloomFilter192(everything), Matcher::MatchKind::kMatch,
+  engine.match_result_async(BloomFilter192(everything), Matcher::MatchKind::kMatch, 0, {},
                             [&promise](ShardedTagMatch::MatchResult r) {
                               promise.set_value(std::move(r));
                             });
@@ -440,7 +469,7 @@ TEST(ShardedTagMatch, NoTimeoutMeansExactResults) {
   for (const auto& q : w.queries) {
     std::promise<ShardedTagMatch::MatchResult> promise;
     auto result = promise.get_future();
-    engine.match_result_async(BloomFilter192(q), Matcher::MatchKind::kMatch,
+    engine.match_result_async(BloomFilter192(q), Matcher::MatchKind::kMatch, 0, {},
                               [&promise](ShardedTagMatch::MatchResult r) {
                                 promise.set_value(std::move(r));
                               });

@@ -34,34 +34,34 @@ std::vector<Key> sorted(std::vector<Key> v) {
 TEST(StagedMatching, StagedAddsMatchImmediately) {
   TagMatch tm(live_config());
   std::vector<std::string> s = {"a", "b"};
-  tm.add_set(s, 1);
+  tm.add_set(tm.encode(s), 1);
   std::vector<std::string> q = {"a", "b", "c"};
   // No consolidate yet — the temporary index must serve the match.
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{1}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{1}));
 }
 
 TEST(StagedMatching, StagedAndConsolidatedCombine) {
   TagMatch tm(live_config());
   std::vector<std::string> s1 = {"a"};
-  tm.add_set(s1, 1);
+  tm.add_set(tm.encode(s1), 1);
   tm.consolidate();
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s2, 2);  // Staged only.
+  tm.add_set(tm.encode(s2), 2);  // Staged only.
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));
   // After consolidation the same results come from the main index.
   tm.consolidate();
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));
 }
 
 TEST(StagedMatching, NoDoubleCountingAfterConsolidate) {
   TagMatch tm(live_config());
   std::vector<std::string> s = {"x"};
-  tm.add_set(s, 5);
+  tm.add_set(tm.encode(s), 5);
   tm.consolidate();
   std::vector<std::string> q = {"x", "y"};
   // The set must not be matched twice (once staged + once consolidated).
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{5}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{5}));
 }
 
 TEST(StagedMatching, DisabledByDefault) {
@@ -69,9 +69,9 @@ TEST(StagedMatching, DisabledByDefault) {
   config.match_staged_adds = false;
   TagMatch tm(config);
   std::vector<std::string> s = {"a"};
-  tm.add_set(s, 1);
+  tm.add_set(tm.encode(s), 1);
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_TRUE(tm.match(q).empty());
+  EXPECT_TRUE(tm.match(tm.encode(q)).empty());
 }
 
 TEST(StagedMatching, ExactCheckAppliesToStagedSets) {
@@ -86,21 +86,21 @@ TEST(StagedMatching, ExactCheckAppliesToStagedSets) {
   BitVector192 bit;
   bit.set(sig::resolve(config.signature_scheme).encode(qtags).leftmost_one());
   const uint64_t h = TagMatch::tag_hash("unrelated");
-  tm.add_set_hashed(BloomFilter192(bit), std::span(&h, 1), 9);
-  EXPECT_TRUE(tm.match(qtags).empty());
+  tm.add_set(Tagset(BloomFilter192(bit), {h}), 9);
+  EXPECT_TRUE(tm.match(tm.encode(qtags)).empty());
   EXPECT_EQ(tm.stats().exact_rejections, 1u);
 }
 
 TEST(StagedMatching, MatchUniqueDedupesAcrossStagedAndMain) {
   TagMatch tm(live_config());
   std::vector<std::string> s1 = {"a"};
-  tm.add_set(s1, 7);
+  tm.add_set(tm.encode(s1), 7);
   tm.consolidate();
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s2, 7);  // Same key, staged.
+  tm.add_set(tm.encode(s2), 7);  // Same key, staged.
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(tm.match(q).size(), 2u);
-  EXPECT_EQ(tm.match_unique(q), (std::vector<Key>{7}));
+  EXPECT_EQ(tm.match(tm.encode(q)).size(), 2u);
+  EXPECT_EQ(tm.match_unique(tm.encode(q)), (std::vector<Key>{7}));
 }
 
 }  // namespace

@@ -219,12 +219,12 @@ TEST(TagMatch, EmptyDatabaseMatchesNothing) {
 TEST(TagMatch, MatchBeforeConsolidateSeesNothing) {
   TagMatch tm(test_config());
   std::vector<std::string> tags = {"a", "b"};
-  tm.add_set(tags, 1);
+  tm.add_set(tm.encode(tags), 1);
   // Staged but not consolidated: not visible.
   std::vector<std::string> qtags = {"a", "b", "c"};
-  EXPECT_TRUE(tm.match(qtags).empty());
+  EXPECT_TRUE(tm.match(tm.encode(qtags)).empty());
   tm.consolidate();
-  EXPECT_EQ(tm.match(qtags), (std::vector<Key>{1}));
+  EXPECT_EQ(tm.match(tm.encode(qtags)), (std::vector<Key>{1}));
 }
 
 TEST(TagMatch, StringTagInterface) {
@@ -232,14 +232,14 @@ TEST(TagMatch, StringTagInterface) {
   std::vector<std::string> s1 = {"sports", "football"};
   std::vector<std::string> s2 = {"sports"};
   std::vector<std::string> s3 = {"music"};
-  tm.add_set(s1, 10);
-  tm.add_set(s2, 20);
-  tm.add_set(s3, 30);
+  tm.add_set(tm.encode(s1), 10);
+  tm.add_set(tm.encode(s2), 20);
+  tm.add_set(tm.encode(s3), 30);
   tm.consolidate();
   std::vector<std::string> q = {"sports", "football", "worldcup"};
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{10, 20}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{10, 20}));
   std::vector<std::string> q2 = {"music", "jazz"};
-  EXPECT_EQ(tm.match(q2), (std::vector<Key>{30}));
+  EXPECT_EQ(tm.match(tm.encode(q2)), (std::vector<Key>{30}));
 }
 
 TEST(TagMatch, MatchReturnsMultisetMatchUniqueDedupes) {
@@ -247,41 +247,41 @@ TEST(TagMatch, MatchReturnsMultisetMatchUniqueDedupes) {
   // Same key associated with two different subsets of the query.
   std::vector<std::string> s1 = {"a"};
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s1, 5);
-  tm.add_set(s2, 5);
+  tm.add_set(tm.encode(s1), 5);
+  tm.add_set(tm.encode(s2), 5);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{5, 5}));
-  EXPECT_EQ(tm.match_unique(q), (std::vector<Key>{5}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{5, 5}));
+  EXPECT_EQ(tm.match_unique(tm.encode(q)), (std::vector<Key>{5}));
 }
 
 TEST(TagMatch, MultipleKeysPerIdenticalSet) {
   TagMatch tm(test_config());
   std::vector<std::string> s = {"x", "y"};
-  tm.add_set(s, 1);
-  tm.add_set(s, 2);
-  tm.add_set(s, 3);
+  tm.add_set(tm.encode(s), 1);
+  tm.add_set(tm.encode(s), 2);
+  tm.add_set(tm.encode(s), 3);
   tm.consolidate();
   EXPECT_EQ(tm.stats().unique_sets, 1u);
   std::vector<std::string> q = {"x", "y", "z"};
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2, 3}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2, 3}));
 }
 
 TEST(TagMatch, RemoveSetTakesEffectAtConsolidate) {
   TagMatch tm(test_config());
   std::vector<std::string> s = {"a", "b"};
-  tm.add_set(s, 1);
-  tm.add_set(s, 2);
+  tm.add_set(tm.encode(s), 1);
+  tm.add_set(tm.encode(s), 2);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b", "c"};
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));
-  tm.remove_set(s, 1);
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));  // Staged only.
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));
+  tm.remove_set(tm.encode(s), 1);
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));  // Staged only.
   tm.consolidate();
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{2}));
-  tm.remove_set(s, 2);
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{2}));
+  tm.remove_set(tm.encode(s), 2);
   tm.consolidate();
-  EXPECT_TRUE(tm.match(q).empty());
+  EXPECT_TRUE(tm.match(tm.encode(q)).empty());
   EXPECT_EQ(tm.stats().unique_sets, 0u);
 }
 
@@ -289,12 +289,12 @@ TEST(TagMatch, RemoveNonexistentIsNoop) {
   TagMatch tm(test_config());
   std::vector<std::string> s = {"a"};
   std::vector<std::string> other = {"zzz"};
-  tm.add_set(s, 1);
-  tm.remove_set(other, 9);
-  tm.remove_set(s, 9);  // Wrong key.
+  tm.add_set(tm.encode(s), 1);
+  tm.remove_set(tm.encode(other), 9);
+  tm.remove_set(tm.encode(s), 9);  // Wrong key.
   tm.consolidate();
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{1}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{1}));
 }
 
 // Regression: staging the same (filter, key) pair twice — within one
@@ -303,15 +303,15 @@ TEST(TagMatch, RemoveNonexistentIsNoop) {
 TEST(TagMatch, DuplicateAddIsIdempotent) {
   TagMatch tm(test_config());
   std::vector<std::string> s = {"a", "b"};
-  tm.add_set(s, 7);
-  tm.add_set(s, 7);  // Duplicate within the same staging batch.
+  tm.add_set(tm.encode(s), 7);
+  tm.add_set(tm.encode(s), 7);  // Duplicate within the same staging batch.
   tm.consolidate();
   std::vector<std::string> q = {"a", "b", "c"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{7}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{7}));
   EXPECT_EQ(tm.stats().total_keys, 1u);
-  tm.add_set(s, 7);  // Re-add of an already-consolidated pair.
+  tm.add_set(tm.encode(s), 7);  // Re-add of an already-consolidated pair.
   tm.consolidate();
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{7}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{7}));
   EXPECT_EQ(tm.stats().total_keys, 1u);
 }
 
@@ -321,45 +321,45 @@ TEST(TagMatch, DuplicateAddIsIdempotent) {
 TEST(TagMatch, RemoveAfterDuplicateAddErasesPair) {
   TagMatch tm(test_config());
   std::vector<std::string> s = {"a", "b"};
-  tm.add_set(s, 7);
-  tm.add_set(s, 7);
-  tm.add_set(s, 8);
+  tm.add_set(tm.encode(s), 7);
+  tm.add_set(tm.encode(s), 7);
+  tm.add_set(tm.encode(s), 8);
   tm.consolidate();
-  tm.remove_set(s, 7);
+  tm.remove_set(tm.encode(s), 7);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b", "c"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{8}));
-  tm.remove_set(s, 8);
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{8}));
+  tm.remove_set(tm.encode(s), 8);
   tm.consolidate();
-  EXPECT_TRUE(tm.match(q).empty());
+  EXPECT_TRUE(tm.match(tm.encode(q)).empty());
   EXPECT_EQ(tm.stats().unique_sets, 0u);
 }
 
 TEST(TagMatch, ReconsolidateAfterAdds) {
   TagMatch tm(test_config());
   std::vector<std::string> s1 = {"a"};
-  tm.add_set(s1, 1);
+  tm.add_set(tm.encode(s1), 1);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{1}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{1}));
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s2, 2);
+  tm.add_set(tm.encode(s2), 2);
   tm.consolidate();
-  EXPECT_EQ(sorted(tm.match(q)), (std::vector<Key>{1, 2}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q))), (std::vector<Key>{1, 2}));
 }
 
 TEST(TagMatch, EmptySetMatchesEveryQuery) {
   TagMatch tm(test_config());
-  tm.add_set(std::span<const std::string>{}, 77);
+  tm.add_set(tm.encode({}), 77);
   std::vector<std::string> s = {"a"};
-  tm.add_set(s, 1);
+  tm.add_set(tm.encode(s), 1);
   tm.consolidate();
   std::vector<std::string> q = {"whatever"};
-  EXPECT_EQ(tm.match(q), (std::vector<Key>{77}));
+  EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{77}));
   std::vector<std::string> q2 = {"a"};
-  EXPECT_EQ(sorted(tm.match(q2)), (std::vector<Key>{1, 77}));
+  EXPECT_EQ(sorted(tm.match(tm.encode(q2))), (std::vector<Key>{1, 77}));
   // Even the empty query matches the empty set.
-  EXPECT_EQ(tm.match(std::span<const std::string>{}), (std::vector<Key>{77}));
+  EXPECT_EQ(tm.match(tm.encode({})), (std::vector<Key>{77}));
 }
 
 TEST(TagMatch, AsyncPipelineCompletesAllQueries) {
@@ -409,7 +409,7 @@ TEST(TagMatch, OverflowFallbackProducesExactResults) {
   const sig::SignatureScheme& scheme = sig::resolve(nullptr);
   std::vector<std::string> s = {"a"};
   for (Key k = 0; k < 200; ++k) {
-    tm.add_set(s, k);
+    tm.add_set(tm.encode(s), k);
     oracle.add(scheme.encode(s), k);
   }
   tm.consolidate();
@@ -480,12 +480,12 @@ TEST(TagMatchTelemetry, StageCountersTrackPipelineFlow) {
   TagMatch tm(config);
   std::vector<std::string> s1 = {"a"};
   std::vector<std::string> s2 = {"b"};
-  tm.add_set(s1, 1);
-  tm.add_set(s2, 2);
+  tm.add_set(tm.encode(s1), 1);
+  tm.add_set(tm.encode(s2), 2);
   tm.consolidate();
   std::vector<std::string> q = {"a", "b"};
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(tm.match(q).size(), 2u);
+    EXPECT_EQ(tm.match(tm.encode(q)).size(), 2u);
   }
   auto stats = tm.stats();
   EXPECT_EQ(stats.queries_processed, 8u);
@@ -515,14 +515,14 @@ class IndexErrorPathTest : public ::testing::Test {
   // Builds a live engine plus a valid index file for it at path_.
   void build(TagMatch& tm) {
     std::vector<std::string> s = {"live"};
-    tm.add_set(s, 42);
+    tm.add_set(tm.encode(s), 42);
     tm.consolidate();
     ASSERT_TRUE(tm.save_index(path_));
   }
 
   void expect_alive(TagMatch& tm) {
     std::vector<std::string> q = {"live", "extra"};
-    EXPECT_EQ(tm.match(q), (std::vector<Key>{42}));
+    EXPECT_EQ(tm.match(tm.encode(q)), (std::vector<Key>{42}));
   }
 
   // Overwrites 4 bytes at `offset` in the saved index.

@@ -508,8 +508,8 @@ TEST(TelemetryChaos, DeviceLossEmitsOneDumpContainingTheFaultSpan) {
   config.fault_injector = std::make_shared<inject::FaultInjector>(*plan);
   TagMatch tm(config);
   for (uint32_t i = 0; i < 256; ++i) {
-    tm.add_set(std::vector<std::string>{"t" + std::to_string(i % 16),
-                                        "u" + std::to_string(i % 7)},
+    tm.add_set(tm.encode(std::vector<std::string>{"t" + std::to_string(i % 16),
+                                                  "u" + std::to_string(i % 7)}),
                i);
   }
   tm.consolidate();
@@ -529,7 +529,7 @@ TEST(TelemetryChaos, DeviceLossEmitsOneDumpContainingTheFaultSpan) {
   int64_t t = 0;
   tel.tick(t += kSec);  // Baseline before the fault.
   for (int i = 0; i < 40; ++i) {
-    tm.match(std::vector<std::string>{"t" + std::to_string(i % 16)});
+    tm.match(tm.encode(std::vector<std::string>{"t" + std::to_string(i % 16)}));
   }
   ASSERT_GT(config.fault_injector->faults_fired(), 0u);
   // Drive ticks until the rule's windows cover the fault. The holdoff is

@@ -247,14 +247,14 @@ TEST(TracePropagation, ConnectedTreeThroughShardedEngine) {
   config.shard = tiny_engine_config();
   shard::ShardedTagMatch sharded(config);
   for (int i = 0; i < 32; ++i) {
-    sharded.add_set(std::vector<std::string>{"a", "t" + std::to_string(i)}, i);
+    sharded.add_set(sharded.encode(std::vector<std::string>{"a", "t" + std::to_string(i)}), i);
   }
   sharded.consolidate();
 
   TraceContext root{obs::new_trace_id(), obs::new_span_id(), true};
   std::promise<void> done;
-  sharded.match_async(std::vector<std::string>{"a", "t3", "t7"}, Matcher::MatchKind::kMatchUnique,
-                      /*deadline_ns=*/0, root,
+  sharded.match_async(sharded.encode(std::vector<std::string>{"a", "t3", "t7"}),
+                      Matcher::MatchKind::kMatchUnique, /*deadline_ns=*/0, root,
                       [&](std::vector<Matcher::Key>) { done.set_value(); });
   sharded.flush();  // Push the partial batch through; tiny config has no timeout.
   ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(10)), std::future_status::ready);
