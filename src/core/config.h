@@ -73,16 +73,17 @@ struct TagMatchConfig {
   // (§3.3.1).
   uint32_t batch_size = 192;
 
-  // Batches older than this are submitted even if not full (§3.4 latency
-  // control; Fig. 6). Zero disables the timeout.
+  // A partial batch is submitted this long after it opened (§3.4 latency
+  // control; Fig. 6); timeout closes are counted in engine.timeout_closes.
+  // Zero disables the timeout.
   std::chrono::milliseconds batch_timeout{0};
 
-  // Deadline-aware batch close: a partial batch whose oldest query deadline
-  // (the deadline_ns argument of the deadline-carrying match_async
-  // overloads) falls within the next flusher tick is submitted early instead
-  // of waiting out batch_timeout. Requires batch_timeout > 0 (the flusher
-  // thread enforces both). Queries without a deadline are unaffected; early
-  // closes are counted in engine.deadline_closes.
+  // Deadline-aware batch close: a partial batch is submitted
+  // max(batch_timeout / 4, 1 ms) before the earliest deadline of its
+  // queries (the deadline_ns argument of match_async) instead of waiting
+  // out batch_timeout. Requires batch_timeout > 0 (the batch closer thread
+  // enforces both). Queries without a deadline are unaffected; early closes
+  // are counted in engine.deadline_closes.
   bool deadline_batch_close = true;
 
   // --- Simulated GPU platform ---

@@ -721,8 +721,8 @@ void GpuEngine::drain_streams_once() {
 
 void GpuEngine::drain() {
   // Serialize whole-pool drains: two concurrent drains (e.g. a user flush
-  // racing the batch-timeout flusher) would otherwise each acquire part of
-  // the stream pool and deadlock waiting for the rest.
+  // racing the batch closer's quiet drain) would otherwise each acquire part
+  // of the stream pool and deadlock waiting for the rest.
   std::lock_guard drain_lock(drain_mu_);
   for (;;) {
     // Let the retry worker finish resubmitting before grabbing the pools —

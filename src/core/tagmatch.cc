@@ -1,9 +1,13 @@
 #include "src/core/tagmatch.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -67,9 +71,9 @@ struct Batch {
   std::shared_ptr<const IndexSnapshot> snapshot;
   std::vector<BitVector192> filters;
   std::vector<std::shared_ptr<QueryState>> queries;
-  int64_t created_ns = 0;
+  int64_t created_ns = 0;  // Stamped only when a batch timeout is armed.
   uint64_t trace_id = 0;  // Engine-unique batch sequence (reduce flow id).
-  // Earliest deadline over member queries (0 = none); the flusher submits
+  // Earliest deadline over member queries (0 = none); the closer submits
   // the batch early when it nears.
   int64_t min_deadline_ns = 0;
   // Causal trace context of the batch: adopted from the first traced member
@@ -84,6 +88,25 @@ struct PartialSlot {
   std::mutex mu;
   std::unique_ptr<Batch> batch;
 };
+
+// One scheduled close of an open batch. The batch is named, not pointed
+// to: by the time the entry is due it may have been sent full, swept by a
+// publication or taken by a flush, and then the entry is dropped.
+struct CloseEntry {
+  int64_t due_ns = 0;
+  uint64_t snapshot_version = 0;
+  uint64_t batch_seq = 0;  // Batch::trace_id of the batch it closes.
+  PartitionId partition = 0;
+  bool deadline = false;  // Deadline close (else batch-timeout close).
+};
+
+struct LaterDue {
+  bool operator()(const CloseEntry& a, const CloseEntry& b) const { return a.due_ns > b.due_ns; }
+};
+
+// The closer merges wakes that fall within this span of each other, so no
+// batch closes more than this much after its due time (plus scheduling).
+constexpr int64_t kCloseCoalesceNs = 250'000;
 
 // One published generation of the consolidated index. Immutable once
 // published (the only mutable parts are the per-partition partial-batch
@@ -130,7 +153,10 @@ class TagMatchImpl {
   explicit TagMatchImpl(TagMatchConfig config)
       : config_(std::move(config)),
         scheme_(&sig::resolve(config_.signature_scheme)),
-        variant_(scheme_->kernel_variant()) {
+        variant_(scheme_->kernel_variant()),
+        timeout_ns_(std::chrono::duration_cast<std::chrono::nanoseconds>(config_.batch_timeout)
+                        .count()),
+        deadline_margin_ns_(std::max<int64_t>(timeout_ns_ / 4, 1'000'000)) {
     TAGMATCH_CHECK(config_.batch_size >= 1 && config_.batch_size <= 256);
     TAGMATCH_CHECK(config_.num_threads >= 1);
     // Pin the resolved scheme so every layer below (GPU engine, persistence,
@@ -149,6 +175,8 @@ class TagMatchImpl {
     batch_queries_ = registry.counter("engine.batch_queries");
     result_pairs_ = registry.counter("engine.result_pairs");
     deadline_closes_ = registry.counter("engine.deadline_closes");
+    timeout_closes_ = registry.counter("engine.timeout_closes");
+    close_late_ = registry.histogram("engine.batch_close_late_ns");
     consolidations_ = registry.counter("engine.consolidations");
     stale_snapshot_batches_ = registry.counter("engine.stale_snapshot_batches");
     query_latency_ = registry.histogram("query.latency_ns");
@@ -196,20 +224,20 @@ class TagMatchImpl {
                 ctx);
           });
     }
-    if (config_.batch_timeout.count() > 0) {
-      timeout_thread_ = std::thread([this] { timeout_loop(); });
+    if (timeout_ns_ > 0) {
+      closer_thread_ = std::thread([this] { close_loop(); });
     }
   }
 
   ~TagMatchImpl() {
     flush();
     {
-      std::lock_guard lock(timeout_mu_);
+      std::lock_guard lock(close_mu_);
       stopping_ = true;
     }
-    timeout_cv_.notify_all();
-    if (timeout_thread_.joinable()) {
-      timeout_thread_.join();
+    close_cv_.notify_all();
+    if (closer_thread_.joinable()) {
+      closer_thread_.join();
     }
     // flush() returned with outstanding_ == 0, which only happens after
     // every queued pre-process and completion task has run its last
@@ -568,9 +596,9 @@ class TagMatchImpl {
             slot.batch = std::make_unique<Batch>();
             slot.batch->partition = pid;
             slot.batch->snapshot = snap->shared_from_this();
-            slot.batch->created_ns = now_ns();
             slot.batch->trace_id = batch_seq_.fetch_add(1, std::memory_order_relaxed);
             slot.batch->filters.reserve(config_.batch_size);
+            open_batch(*slot.batch);
           }
           if (!slot.batch->ctx.valid() && query->ctx.valid()) {
             // First traced member adopts the batch into its trace.
@@ -584,6 +612,7 @@ class TagMatchImpl {
           if (query->deadline_ns != 0 && (slot.batch->min_deadline_ns == 0 ||
                                           query->deadline_ns < slot.batch->min_deadline_ns)) {
             slot.batch->min_deadline_ns = query->deadline_ns;
+            schedule_deadline_close(*slot.batch);
           }
           if (slot.batch->filters.size() >= config_.batch_size) {
             full = std::move(slot.batch);
@@ -657,6 +686,12 @@ class TagMatchImpl {
                 : obs::TraceContext{};
         Batch* raw = batch.release();
         engine_->submit(raw->partition, raw->filters, raw, gpu_ctx);
+        if (timeout_ns_ > 0) {
+          // Its results may park in the stream's double buffer; make sure
+          // the closer wakes for the quiet drain.
+          std::lock_guard lock(close_mu_);
+          wake_closer_by(now_ns() + timeout_ns_);
+        }
         return;
       }
       stale_snapshot_batches_->inc();
@@ -775,65 +810,140 @@ class TagMatchImpl {
     }
   }
 
-  // Background flusher enforcing the batch timeout (§3, Fig. 6) and, for
-  // deadline-carrying queries, the deadline-aware batch close: a batch whose
-  // oldest member deadline would expire before the next tick is submitted
-  // now instead of waiting out the full batch timeout. Each tick works on an
-  // owning reference to the then-current snapshot; a concurrent publication
-  // sweeps whatever the flusher doesn't take (slot handoff is serialized by
-  // the per-slot mutex, so a batch is submitted exactly once).
-  void timeout_loop() {
-    const auto timeout = config_.batch_timeout;
-    const auto tick = std::max(timeout / 4, std::chrono::milliseconds(1));
-    const int64_t tick_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(tick).count();
-    std::unique_lock lock(timeout_mu_);
+  // Stamps a newly opened batch (caller holds its slot lock) and queues its
+  // batch-timeout close. The stamp is taken under close_mu_, so queue order
+  // is creation order and, batch_timeout being constant, close order: the
+  // FIFO never needs sorting.
+  void open_batch(Batch& batch) {
+    if (timeout_ns_ == 0) {
+      return;
+    }
+    std::lock_guard lock(close_mu_);
+    batch.created_ns = now_ns();
+    const int64_t due_ns = batch.created_ns + timeout_ns_;
+    timeout_queue_.push_back(CloseEntry{due_ns, batch.snapshot->version, batch.trace_id,
+                                        batch.partition, /*deadline=*/false});
+    wake_closer_by(due_ns);
+  }
+
+  // Deadline-aware batch close: a member query just lowered the batch's
+  // earliest deadline (caller holds the slot lock). The batch closes
+  // deadline_margin_ns_ before that deadline, or at once if that is past,
+  // unless its batch timeout comes first.
+  void schedule_deadline_close(const Batch& batch) {
+    if (timeout_ns_ == 0) {
+      return;
+    }
+    std::lock_guard lock(close_mu_);
+    const int64_t due_ns = std::max(batch.min_deadline_ns - deadline_margin_ns_, now_ns());
+    if (due_ns >= batch.created_ns + timeout_ns_) {
+      return;
+    }
+    deadline_heap_.push_back(CloseEntry{due_ns, batch.snapshot->version, batch.trace_id,
+                                        batch.partition, /*deadline=*/true});
+    std::push_heap(deadline_heap_.begin(), deadline_heap_.end(), LaterDue{});
+    wake_closer_by(due_ns);
+  }
+
+  // Caller holds close_mu_. Wakes the closer if it would otherwise sleep
+  // past `due_ns` by more than the coalescing slack.
+  void wake_closer_by(int64_t due_ns) {
+    if (due_ns + kCloseCoalesceNs < closer_wake_ns_) {
+      closer_wake_ns_ = due_ns;
+      close_cv_.notify_one();
+    }
+  }
+
+  // The closer thread enforces the batch timeout (§3.4, Fig. 6) and the
+  // deadline-aware close. It sleeps until the earliest queued close, pops
+  // every entry that is due and submits each batch its slot still holds.
+  // It also drains the streams once submission has been quiet for a batch
+  // timeout: the last batch on each stream keeps its results in the double
+  // buffer until the stream's next batch.
+  void close_loop() {
+    std::vector<CloseEntry> due;
+    int64_t last_drain_ns = 0;
+    std::unique_lock lock(close_mu_);
     while (!stopping_) {
-      timeout_cv_.wait_for(lock, tick, [&] { return stopping_; });
-      if (stopping_) {
-        return;
+      const int64_t woke_ns = now_ns();
+      due.clear();
+      while (!timeout_queue_.empty() && timeout_queue_.front().due_ns <= woke_ns) {
+        due.push_back(timeout_queue_.front());
+        timeout_queue_.pop_front();
       }
+      while (!deadline_heap_.empty() && deadline_heap_.front().due_ns <= woke_ns) {
+        std::pop_heap(deadline_heap_.begin(), deadline_heap_.end(), LaterDue{});
+        due.push_back(deadline_heap_.back());
+        deadline_heap_.pop_back();
+      }
+      closer_wake_ns_ = kCloserAwake;
       lock.unlock();
-      {
-        std::shared_ptr<const IndexSnapshot> snap = acquire_snapshot();
-        const int64_t now = now_ns();
-        const int64_t cutoff =
-            now - std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
-        bool any_deadline_close = false;
-        for (const auto& slot_ptr : snap->partials) {
-          std::unique_ptr<Batch> expired;
-          bool deadline_close = false;
-          {
-            std::lock_guard slot_lock(slot_ptr->mu);
-            if (slot_ptr->batch) {
-              const bool aged = slot_ptr->batch->created_ns <= cutoff;
-              deadline_close = !aged && slot_ptr->batch->min_deadline_ns != 0 &&
-                               slot_ptr->batch->min_deadline_ns <= now + tick_ns;
-              if (aged || deadline_close) {
-                expired = std::move(slot_ptr->batch);
-              }
-            }
-          }
-          if (expired && !expired->filters.empty()) {
-            if (deadline_close) {
-              deadline_closes_->inc();
-              any_deadline_close = true;
-            }
-            submit_batch(std::move(expired));
-          }
-        }
-        // Results of the last batch on each stream wait for the stream's
-        // next batch (double buffering); if submission has gone quiet, drain
-        // them. A deadline close drains unconditionally: its whole point is
-        // that the query cannot afford to wait for the stream's next batch.
-        if (engine_ && engine_->in_flight() > 0 &&
-            (any_deadline_close ||
-             now_ns() - last_submit_ns_.load(std::memory_order_relaxed) >
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count())) {
-          engine_->drain();
-        }
+      const bool deadline_closed = close_due(due);
+      // A deadline close drains at once: its query cannot afford to wait
+      // for the stream's next batch.
+      if (engine_ && engine_->in_flight() > 0 &&
+          (deadline_closed ||
+           now_ns() - last_submit_ns_.load(std::memory_order_relaxed) >= timeout_ns_)) {
+        engine_->drain();
+        last_drain_ns = now_ns();
       }
       lock.lock();
+      int64_t next_ns = std::numeric_limits<int64_t>::max();
+      if (!timeout_queue_.empty()) {
+        next_ns = timeout_queue_.front().due_ns;
+      }
+      if (!deadline_heap_.empty()) {
+        next_ns = std::min(next_ns, deadline_heap_.front().due_ns);
+      }
+      if (engine_ && engine_->in_flight() > 0) {
+        // A submitter that puts work in flight while this sleeps lowers the
+        // wake itself (submit_batch), so nothing parks unseen.
+        next_ns = std::min(
+            next_ns,
+            std::max(last_submit_ns_.load(std::memory_order_relaxed), last_drain_ns) + timeout_ns_);
+      }
+      next_ns = std::max(next_ns, woke_ns + kCloseCoalesceNs);
+      closer_wake_ns_ = next_ns;
+      const auto replanned = [&] { return stopping_ || closer_wake_ns_ != next_ns; };
+      if (next_ns == std::numeric_limits<int64_t>::max()) {
+        close_cv_.wait(lock, replanned);
+      } else {
+        close_cv_.wait_until(lock, Clock::time_point(std::chrono::nanoseconds(next_ns)), replanned);
+      }
     }
+  }
+
+  // Submits the batch of each due entry that its slot still holds. Returns
+  // whether any of them was a deadline close.
+  bool close_due(const std::vector<CloseEntry>& due) {
+    if (due.empty()) {
+      return false;
+    }
+    // Every entry was queued against this snapshot or an older one: the
+    // push happened under close_mu_ after its query loaded the pointer.
+    std::shared_ptr<const IndexSnapshot> snap = acquire_snapshot();
+    bool deadline_closed = false;
+    for (const CloseEntry& entry : due) {
+      if (entry.snapshot_version != snap->version) {
+        continue;  // Retired: publication sweeps that snapshot's slots.
+      }
+      std::unique_ptr<Batch> batch;
+      {
+        PartialSlot& slot = *snap->partials[entry.partition];
+        std::lock_guard slot_lock(slot.mu);
+        if (slot.batch && slot.batch->trace_id == entry.batch_seq) {
+          batch = std::move(slot.batch);
+        }
+      }
+      if (!batch) {
+        continue;  // Sent full, taken by a flush, or closed by its other entry.
+      }
+      close_late_->record(static_cast<uint64_t>(now_ns() - entry.due_ns), batch->ctx.trace_id);
+      (entry.deadline ? deadline_closes_ : timeout_closes_)->inc();
+      deadline_closed = deadline_closed || entry.deadline;
+      submit_batch(std::move(batch));
+    }
+    return deadline_closed;
   }
 
   TagMatchConfig config_;
@@ -842,6 +952,11 @@ class TagMatchImpl {
   // subset-test variant, fixed for the engine's lifetime.
   const sig::SignatureScheme* scheme_;
   sig::KernelVariant variant_;
+
+  // config_.batch_timeout in ns (0 = no closer thread) and the lead a
+  // deadline close keeps ahead of its deadline.
+  const int64_t timeout_ns_;
+  const int64_t deadline_margin_ns_;
 
   struct StagedAdd {
     BitVector192 filter;
@@ -886,9 +1001,17 @@ class TagMatchImpl {
   std::shared_ptr<task::TaskScheduler> scheduler_;
   bool owns_scheduler_ = true;
 
-  std::thread timeout_thread_;
-  std::mutex timeout_mu_;
-  std::condition_variable timeout_cv_;
+  // Close-time queue (close_loop). close_mu_ is a leaf lock, taken under a
+  // PartialSlot::mu and never the other way round. Timeout closes are FIFO;
+  // deadline closes, out of order and rarer, go to a min-heap.
+  static constexpr int64_t kCloserAwake = std::numeric_limits<int64_t>::min();
+  std::thread closer_thread_;
+  std::mutex close_mu_;
+  std::condition_variable close_cv_;
+  std::deque<CloseEntry> timeout_queue_;
+  std::vector<CloseEntry> deadline_heap_;
+  // When the closer next wakes on its own; kCloserAwake while it works.
+  int64_t closer_wake_ns_ = kCloserAwake;
   bool stopping_ = false;
 
   std::mutex flush_mu_;
@@ -909,6 +1032,8 @@ class TagMatchImpl {
   obs::Counter* batch_queries_ = nullptr;
   obs::Counter* result_pairs_ = nullptr;
   obs::Counter* deadline_closes_ = nullptr;
+  obs::Counter* timeout_closes_ = nullptr;
+  obs::Histogram* close_late_ = nullptr;
   obs::Counter* consolidations_ = nullptr;
   obs::Counter* stale_snapshot_batches_ = nullptr;
   obs::Histogram* query_latency_ = nullptr;
@@ -963,7 +1088,10 @@ bool TagMatchImpl::save_index(const std::string& path) const {
   // One pinned snapshot for the whole dump: the file is internally
   // consistent even if a consolidate publishes mid-save.
   std::shared_ptr<const IndexSnapshot> snap = acquire_snapshot();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Written beside the target and renamed over it only once it is complete
+  // and on disk, so a failed or interrupted save leaves the last good index.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return false;
   }
@@ -981,10 +1109,11 @@ bool TagMatchImpl::save_index(const std::string& path) const {
   write_vec(f, snap->exact_hashes);
   // ferror catches short fwrites from any write_vec above (they set the
   // stream error flag); fflush alone would miss them.
-  bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
-  std::fclose(f);
+  bool ok = std::fflush(f) == 0 && std::ferror(f) == 0 && ::fsync(::fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
   if (!ok) {
-    std::remove(path.c_str());  // A truncated index must not be loadable.
+    std::remove(tmp.c_str());
   }
   return ok;
 }

@@ -8,8 +8,8 @@
 // once every pin taken at an epoch <= E has been released, so a reader that
 // loaded the old pointer can keep dereferencing it without any lock.
 //
-// Participants are threads: any thread (a TaskScheduler worker, the deadline
-// flusher, a caller thread) gets a cache-padded slot on first Pin against a
+// Participants are threads: any thread (a TaskScheduler worker, the batch
+// closer, a caller thread) gets a cache-padded slot on first Pin against a
 // given manager and reuses it afterwards. Pins nest — only the outermost
 // store/clear touches the shared slot, so a pinned task that calls
 // parallel_for and has helpers pin the same manager is fine (helpers run on

@@ -101,6 +101,7 @@ void ReplicaSet::replicated_write(const std::function<void(TagMatch&)>& write) {
     write(*replicas_[0]->engine);
     return;
   }
+  std::shared_lock write_gate(write_gate_mu_);
   for (unsigned r = 0; r < replicas_.size(); ++r) {
     Replica& rep = *replicas_[r];
     if (rep.dead.load(std::memory_order_acquire)) {
@@ -189,6 +190,13 @@ void ReplicaSet::consolidate() {
 
 void ReplicaSet::repair_replica(unsigned index, Replica& reference) {
   Replica& lagging = *replicas_[index];
+  // Writes pause for the repair. One staged on both replicas but folded
+  // into only one of them would read as a difference: the diff would undo
+  // it on the lagging replica, and the counts set below would then mark
+  // the two as converged for good.
+  std::unique_lock write_gate(write_gate_mu_);
+  reference.engine->consolidate();
+  lagging.engine->consolidate();
   // Content diff over the same enumeration the manifest files serialize:
   // (filter, key) pairs plus the exact-check hashes needed to re-add.
   struct SetContent {

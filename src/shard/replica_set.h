@@ -246,6 +246,9 @@ class ReplicaSet {
   // hold this shared, restarts hold it exclusive.
   mutable std::shared_mutex replicas_mu_;
   std::vector<std::unique_ptr<Replica>> replicas_;
+  // Writes hold this shared (inside replicas_mu_); a repair holds it
+  // exclusive, so no write lands on one side of its content diff only.
+  std::shared_mutex write_gate_mu_;
 
   std::atomic<uint64_t> rr_next_{0};  // Round-robin primary cursor.
   std::atomic<uint64_t> outstanding_{0};
